@@ -21,6 +21,13 @@
 // parallel-region overhead is amortized — the earlier 2048-point SpMV ran
 // 66us serial, far below the fork/join cost at small thread counts.
 //
+// A second array, "planner", times the first-touch planning path on one
+// seeded operand (1024 x 1024 at 5% in full mode): each sage_select_*
+// search in ms per call, and each MCF -> COO decode in ns per nonzero.
+// check_bench.py prints these next to the committed values without
+// gating them; a planner that falls back to comparison sorts or dense
+// decodes shows up there as a several-fold jump.
+//
 // Usage: bench_speedup [--smoke] [--threads N] [--out FILE]
 //   --smoke     tiny operands, one rep (CI launch check)
 //   --threads N parallel thread count (default: mt::num_threads())
@@ -38,6 +45,7 @@
 #include "common/simd.hpp"
 #include "common/threads.hpp"
 #include "exec/exec.hpp"
+#include "sage/sage.hpp"
 #include "workloads/synth.hpp"
 
 namespace {
@@ -68,6 +76,12 @@ struct Row {
   double parallel_ms;
   double simd_ms;  // 0 when the host lacks AVX2+FMA
   std::uint64_t operand_fp;
+};
+
+struct PlannerRow {
+  std::string name;
+  double value;
+  const char* unit;
 };
 
 }  // namespace
@@ -190,6 +204,43 @@ int main(int argc, char** argv) {
   run("SpTTM", [&] { exec::ttm(csf, fc); });
   run("GEMM", [&] { exec::spmm(dense_sq_a, dense_sq_b); });
 
+  // Planner path, single-threaded as the serving runtime runs it.
+  std::vector<PlannerRow> planner;
+  {
+    const index_t n_plan = smoke ? 128 : 1024;
+    const std::int64_t nnz_plan = n_plan * n_plan / 20;
+    const auto pa = synth_coo_matrix(n_plan, n_plan, nnz_plan, 15);
+    const auto pb = synth_coo_matrix(n_plan, n_plan, nnz_plan, 16);
+    const AccelConfig cfg;
+    const EnergyParams energy;
+    const int plan_reps = smoke ? 1 : 5;
+    planner.push_back(
+        {"sage_select_matmul",
+         time_ms([&] { (void)sage_select_matmul(pa, pb, cfg, energy); }, 1,
+                 plan_reps),
+         "ms/call"});
+    planner.push_back(
+        {"sage_select_spmm_dense_b",
+         time_ms([&] { (void)sage_select_spmm_dense_b(pa, 16, cfg, energy); },
+                 1, plan_reps),
+         "ms/call"});
+    planner.push_back(
+        {"sage_select_tensor",
+         time_ms([&] {
+           (void)sage_select_tensor(tcoo, rank, Kernel::kMTTKRP, cfg, energy);
+         }, 1, plan_reps),
+         "ms/call"});
+    const AnyMatrix hub{pa};
+    for (Format f : {Format::kDense, Format::kCSR, Format::kCSC, Format::kRLC,
+                     Format::kZVC, Format::kBSR, Format::kDIA, Format::kELL}) {
+      const AnyMatrix src = convert(hub, f);
+      const double ms =
+          time_ms([&] { (void)convert(src, Format::kCOO); }, 1, plan_reps);
+      planner.push_back({"convert_" + std::string(name_of(f)) + "_to_COO",
+                         ms * 1e6 / static_cast<double>(nnz_plan), "ns/nnz"});
+    }
+  }
+
   std::FILE* out = out_path ? std::fopen(out_path, "w") : stdout;
   if (!out) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
@@ -217,6 +268,14 @@ int main(int argc, char** argv) {
                  speedup, simd_over_scalar,
                  static_cast<unsigned long long>(r.operand_fp),
                  i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(out, "  ],\n  \"planner\": [\n");
+  for (std::size_t i = 0; i < planner.size(); ++i) {
+    std::fprintf(out,
+                 "    {\"name\": \"%s\", \"value\": %.4f, "
+                 "\"unit\": \"%s\"}%s\n",
+                 planner[i].name.c_str(), planner[i].value, planner[i].unit,
+                 i + 1 < planner.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   if (out != stdout) std::fclose(out);

@@ -206,6 +206,18 @@ def main() -> int:
                        float(base_row["simd_over_scalar"]), SIMD_BAR,
                        args.tolerance)
 
+    # Planner-path rows (SAGE search ms/call, MCF -> COO ns/nnz): absolute
+    # single-thread times, so info only. A return to comparison sorts or
+    # dense decodes shows as a several-fold jump over the committed value.
+    print("perf-gate: planner path (info only, not gated)")
+    base_plan = {r["name"]: r for r in base_k.get("planner", [])}
+    for row in fresh_k.get("planner", []):
+        base_row = base_plan.get(row["name"])
+        ref = (f" (baseline {float(base_row['value']):.4f})"
+               if base_row is not None else " (not in baseline)")
+        print(f"  info {row['name']}: {float(row['value']):.4f} "
+              f"{row['unit']}{ref}")
+
     if not ok:
         print("perf-gate: REGRESSION — throughput ratios fell more than "
               f"{args.tolerance:.0%} below the gated floor", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
@@ -41,30 +42,104 @@ void finalize(PerfResult& r, const AccelConfig& cfg, const EnergyParams& e,
       onchip_energy(e, cfg, r.performed_macs, r.streamed_elems, loaded, drained);
 }
 
+// Per-K-pass stream statistics of A under a compressed stream.
+struct PassStream {
+  std::int64_t cycles = 0;        // CSR packet count (row-break rule)
+  std::int64_t elems = 0;         // nonzeros streamed
+  std::int64_t rows_touched = 0;  // distinct rows
+};
+
+// One sweep over A's row-major entries. Columns ascend within a row, so a
+// row's entries in one K pass are one contiguous segment: one row run of
+// that pass's stream, at most kt long. Each segment divides once, not
+// once per nonzero.
+std::vector<PassStream> stream_by_pass(const CooMatrix& a, index_t kt,
+                                       std::int64_t k_passes, index_t cap) {
+  std::vector<PassStream> ps(static_cast<std::size_t>(k_passes));
+  const auto& rows = a.row_ids();
+  const auto& cols = a.col_ids();
+  for (std::int64_t i = 0, end = a.nnz(); i < end;) {
+    const index_t r = rows[static_cast<std::size_t>(i)];
+    const index_t p = cols[static_cast<std::size_t>(i)] / kt;
+    const index_t pass_end = (p + 1) * kt;
+    std::int64_t j = i + 1;
+    while (j < end && rows[static_cast<std::size_t>(j)] == r &&
+           cols[static_cast<std::size_t>(j)] < pass_end) {
+      ++j;
+    }
+    PassStream& s = ps[static_cast<std::size_t>(p)];
+    s.cycles += ceil_div(j - i, cap);
+    s.elems += j - i;
+    ++s.rows_touched;
+    i = j;
+  }
+  return ps;
+}
+
+// Bus cost of streaming A's slice of one K pass (height `kh`) under acf_a.
+struct StreamCost {
+  std::int64_t cycles = 0;
+  std::int64_t streamed = 0;
+  std::int64_t rows_touched = 0;
+};
+
+StreamCost stream_cost(const CooMatrix& a, Format acf_a, const PassStream& ps,
+                       index_t kh, index_t cap) {
+  if (acf_a == Format::kDense) {
+    return {a.rows() * ceil_div(kh, cap), a.rows() * kh, a.rows()};
+  }
+  if (acf_a == Format::kCSR) return {ps.cycles, ps.elems, ps.rows_touched};
+  // COO: triplets may mix rows freely.
+  return {ceil_div(ps.elems, cap), ps.elems, ps.rows_touched};
+}
+
 }  // namespace
+
+MatmulOperands::MatmulOperands(const CooMatrix& a_in, const CooMatrix& b)
+    : a(a_in), n(b.cols()), b_nnz(b.nnz()) {
+  MT_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
+  MT_REQUIRE(a.is_row_major_sorted(), "A must be row-major sorted COO");
+  a_col_nnz.assign(static_cast<std::size_t>(a.cols()), 0);
+  for (index_t c : a.col_ids()) ++a_col_nnz[static_cast<std::size_t>(c)];
+
+  // One stable counting pass by column over a row-major B leaves the row
+  // ids ascending within every column.
+  CooMatrix sorted;
+  const CooMatrix* rm = &b;
+  if (!b.is_row_major_sorted()) {
+    sorted = b;
+    sorted.sort_row_major();
+    rm = &sorted;
+  }
+  b_col_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (index_t c : rm->col_ids()) ++b_col_ptr[static_cast<std::size_t>(c) + 1];
+  std::partial_sum(b_col_ptr.begin(), b_col_ptr.end(), b_col_ptr.begin());
+  std::vector<index_t> cursor(b_col_ptr.begin(), b_col_ptr.end() - 1);
+  b_row_ids.resize(static_cast<std::size_t>(b_nnz));
+  for (std::int64_t i = 0; i < b_nnz; ++i) {
+    const auto c = static_cast<std::size_t>(rm->col_ids()[i]);
+    b_row_ids[static_cast<std::size_t>(cursor[c]++)] = rm->row_ids()[i];
+  }
+}
 
 PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
                         Format acf_b, const AccelConfig& cfg,
                         const EnergyParams& energy) {
+  return model_matmul(MatmulOperands(a, b), acf_a, acf_b, cfg, energy);
+}
+
+PerfResult model_matmul(const MatmulOperands& ops, Format acf_a, Format acf_b,
+                        const AccelConfig& cfg, const EnergyParams& energy) {
   cfg.validate();
-  MT_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
   MT_REQUIRE(is_stream_acf(acf_a), "A must use a streaming ACF");
   MT_REQUIRE(is_stationary_acf(acf_b), "B must use a stationary ACF");
-  MT_REQUIRE(a.is_row_major_sorted(), "A must be row-major sorted COO");
 
+  const CooMatrix& a = ops.a;
   const index_t k = a.cols();
-  const index_t n = b.cols();
+  const index_t n = ops.n;
   const index_t slots = cfg.bus_slots();
   const index_t buf = cfg.buffer_elems();
   const index_t cap = payload_per_packet(acf_a, cfg);
-
-  // Streamed-element multiplicity per K coordinate: how many A elements
-  // with column k cross the bus (nnz of A's column for compressed streams,
-  // one per row for Dense).
-  std::vector<std::int64_t> a_col_nnz(static_cast<std::size_t>(k), 0);
-  for (std::int64_t i = 0; i < a.nnz(); ++i) {
-    ++a_col_nnz[static_cast<std::size_t>(a.col_ids()[i])];
-  }
 
   // K-pass height from buffer occupancy (paper §IV: "a buffer entry can be
   // treated as either data or metadata"). Dense columns need one element
@@ -75,7 +150,7 @@ PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
     kt = std::min<index_t>(k, buf);
   } else {
     const double density_b =
-        static_cast<double>(b.nnz()) /
+        static_cast<double>(ops.b_nnz) /
         (static_cast<double>(k) * std::max<double>(1.0, static_cast<double>(n)));
     const auto cap_pairs = static_cast<double>(buf / 2);
     kt = density_b <= 0.0 ? k : static_cast<index_t>(cap_pairs / density_b);
@@ -85,52 +160,19 @@ PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
   PerfResult res;
   res.n_tiles = ceil_div(n, cfg.num_pes);
   res.k_passes = ceil_div(k, kt);
+  const auto pass_stream = stream_by_pass(a, kt, res.k_passes, cap);
 
-  // Bucket A's nonzeros by K pass, preserving row-major order within each
-  // bucket, so each pass is priced in O(bucket size) instead of O(nnz).
-  std::vector<std::vector<index_t>> a_rows_by_pass(
-      static_cast<std::size_t>(res.k_passes));
-  for (std::int64_t i = 0; i < a.nnz(); ++i) {
-    a_rows_by_pass[static_cast<std::size_t>(a.col_ids()[i] / kt)].push_back(
-        a.row_ids()[i]);
-  }
-  // Per-pass streaming stats for compressed streams.
-  struct PassStream {
-    std::int64_t cycles = 0;        // CSR packet count (row-break rule)
-    std::int64_t elems = 0;         // nonzeros streamed
-    std::int64_t rows_touched = 0;  // distinct rows
+  // Per-pass load and match counts of B's nonzeros in the current tile,
+  // refilled tile by tile from B's columns. Rows ascend within a column,
+  // so a column's pass index only grows and its per-PE work is complete
+  // when the pass changes.
+  struct PassLoad {
+    std::int64_t load_elems = 0;
+    std::int64_t max_pe_performed = 0;
+    std::int64_t performed = 0;
+    std::int64_t useful = 0;
   };
-  std::vector<PassStream> pass_stream(static_cast<std::size_t>(res.k_passes));
-  for (index_t p = 0; p < res.k_passes; ++p) {
-    auto& ps = pass_stream[static_cast<std::size_t>(p)];
-    const auto& rows = a_rows_by_pass[static_cast<std::size_t>(p)];
-    ps.elems = static_cast<std::int64_t>(rows.size());
-    std::int64_t run = 0;
-    index_t run_row = -1;
-    for (index_t r : rows) {
-      if (r != run_row) {
-        ps.cycles += ceil_div(run, cap);
-        run = 0;
-        run_row = r;
-        ++ps.rows_touched;
-      }
-      ++run;
-    }
-    ps.cycles += ceil_div(run, cap);
-  }
-
-  // Bucket B's nonzeros by K pass; column-major order is preserved so the
-  // per-PE maximum falls out of one sweep per (tile, pass).
-  std::vector<std::vector<std::pair<index_t, index_t>>> b_by_pass(
-      static_cast<std::size_t>(res.k_passes));
-  {
-    CooMatrix bc = b;
-    bc.sort_col_major();
-    for (std::int64_t i = 0; i < bc.nnz(); ++i) {
-      b_by_pass[static_cast<std::size_t>(bc.row_ids()[i] / kt)].emplace_back(
-          bc.col_ids()[i], bc.row_ids()[i]);
-    }
-  }
+  std::vector<PassLoad> pass_load(static_cast<std::size_t>(res.k_passes));
 
   std::int64_t loaded_total = 0;
   std::int64_t drained_total = 0;
@@ -138,67 +180,62 @@ PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
   for (index_t t = 0; t < res.n_tiles; ++t) {
     const index_t j0 = t * cfg.num_pes;
     const index_t j1 = std::min(j0 + cfg.num_pes, n);
+    std::fill(pass_load.begin(), pass_load.end(), PassLoad{});
+    for (index_t j = j0; j < j1; ++j) {
+      index_t cur_pass = -1;
+      index_t cur_pass_end = 0;  // first K row past cur_pass
+      std::int64_t cur_pe_perf = 0;
+      const auto flush = [&] {
+        if (cur_pass < 0) return;
+        auto& m = pass_load[static_cast<std::size_t>(cur_pass)].max_pe_performed;
+        m = std::max(m, cur_pe_perf);
+      };
+      for (index_t i = ops.b_col_ptr[static_cast<std::size_t>(j)];
+           i < ops.b_col_ptr[static_cast<std::size_t>(j) + 1]; ++i) {
+        const index_t kk = ops.b_row_ids[static_cast<std::size_t>(i)];
+        if (kk >= cur_pass_end) {
+          flush();
+          cur_pass = kk / kt;
+          cur_pass_end = (cur_pass + 1) * kt;
+          cur_pe_perf = 0;
+        }
+        PassLoad& pl = pass_load[static_cast<std::size_t>(cur_pass)];
+        const std::int64_t useful = ops.a_col_nnz[static_cast<std::size_t>(kk)];
+        const std::int64_t mult = acf_a == Format::kDense ? a.rows() : useful;
+        if (acf_b == Format::kCSC) {
+          pl.load_elems += 2;
+          cur_pe_perf += mult;
+          pl.performed += mult;
+        }
+        pl.useful += useful;
+      }
+      flush();
+    }
+
     for (index_t p = 0; p < res.k_passes; ++p) {
       const index_t k0 = p * kt;
       const index_t k1 = std::min(k0 + kt, k);
       const auto& ps = pass_stream[static_cast<std::size_t>(p)];
+      const auto& pl = pass_load[static_cast<std::size_t>(p)];
 
       // --- Stream ---
-      std::int64_t sc;
-      std::int64_t streamed;
-      std::int64_t rows_touched;
-      if (acf_a == Format::kDense) {
-        sc = a.rows() * ceil_div(k1 - k0, cap);
-        streamed = a.rows() * (k1 - k0);
-        rows_touched = a.rows();
-      } else if (acf_a == Format::kCSR) {
-        sc = ps.cycles;
-        streamed = ps.elems;
-        rows_touched = ps.rows_touched;
-      } else {  // COO: triplets may mix rows freely
-        sc = ceil_div(ps.elems, cap);
-        streamed = ps.elems;
-        rows_touched = ps.rows_touched;
-      }
-      res.phases.stream_cycles += sc;
-      res.streamed_elems += streamed;
+      const StreamCost s = stream_cost(a, acf_a, ps, k1 - k0, cap);
+      res.phases.stream_cycles += s.cycles;
+      res.streamed_elems += s.streamed;
 
       // --- Load + match counting over B's nonzeros in this tile/pass ---
-      std::int64_t load_elems = 0;
-      std::int64_t max_pe_performed = 0;
-      std::int64_t tile_performed = 0;
-      std::int64_t tile_useful = 0;
-      {
-        std::int64_t cur_pe_perf = 0;
-        index_t cur_col = -1;
-        for (const auto& [j, kk] : b_by_pass[static_cast<std::size_t>(p)]) {
-          if (j < j0 || j >= j1) continue;
-          if (j != cur_col) {
-            max_pe_performed = std::max(max_pe_performed, cur_pe_perf);
-            cur_pe_perf = 0;
-            cur_col = j;
-          }
-          const std::int64_t useful = a_col_nnz[static_cast<std::size_t>(kk)];
-          const std::int64_t mult =
-              acf_a == Format::kDense ? a.rows() : useful;
-          if (acf_b == Format::kCSC) {
-            load_elems += 2;
-            cur_pe_perf += mult;
-            tile_performed += mult;
-          }
-          tile_useful += useful;
-        }
-        max_pe_performed = std::max(max_pe_performed, cur_pe_perf);
-      }
+      std::int64_t load_elems = pl.load_elems;
+      std::int64_t max_pe_performed = pl.max_pe_performed;
+      std::int64_t tile_performed = pl.performed;
       if (acf_b == Format::kDense) {
         // Every PE holds the full K-range column and MACs every streamed
         // element, zeros in the buffer included.
         load_elems = (j1 - j0) * (k1 - k0);
-        max_pe_performed = streamed;
-        tile_performed = streamed * (j1 - j0);
+        max_pe_performed = s.streamed;
+        tile_performed = s.streamed * (j1 - j0);
       }
       res.performed_macs += tile_performed;
-      res.useful_macs += tile_useful;
+      res.useful_macs += pl.useful;
       loaded_total += load_elems;
       res.phases.load_cycles += ceil_div(load_elems, slots);
 
@@ -206,9 +243,9 @@ PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
           std::ceil(static_cast<double>(max_pe_performed) /
                     cfg.pe_consume_rate(acf_a, acf_b)));
       res.phases.compute_cycles += cc;
-      res.phases.overlap_cycles += std::max(sc, cc);
+      res.phases.overlap_cycles += std::max(s.cycles, cc);
 
-      const std::int64_t drained = rows_touched * (j1 - j0);
+      const std::int64_t drained = s.rows_touched * (j1 - j0);
       drained_total += drained;
       res.phases.drain_cycles += ceil_div(drained, slots);
     }
@@ -239,39 +276,7 @@ PerfResult model_matmul_dense_b(const CooMatrix& a, index_t n, Format acf_a,
   PerfResult res;
   res.n_tiles = ceil_div(n, cfg.num_pes);
   res.k_passes = ceil_div(k, kt);
-
-  // Per-pass stream stats of A (identical bucketing to model_matmul).
-  struct PassStream {
-    std::int64_t cycles = 0;
-    std::int64_t elems = 0;
-    std::int64_t rows_touched = 0;
-  };
-  std::vector<PassStream> pass_stream(static_cast<std::size_t>(res.k_passes));
-  {
-    std::vector<std::vector<index_t>> rows_by_pass(
-        static_cast<std::size_t>(res.k_passes));
-    for (std::int64_t i = 0; i < a.nnz(); ++i) {
-      rows_by_pass[static_cast<std::size_t>(a.col_ids()[i] / kt)].push_back(
-          a.row_ids()[i]);
-    }
-    for (index_t p = 0; p < res.k_passes; ++p) {
-      auto& ps = pass_stream[static_cast<std::size_t>(p)];
-      std::int64_t run = 0;
-      index_t run_row = -1;
-      for (index_t r : rows_by_pass[static_cast<std::size_t>(p)]) {
-        if (r != run_row) {
-          ps.cycles += ceil_div(run, cap);
-          run = 0;
-          run_row = r;
-          ++ps.rows_touched;
-        }
-        ++run;
-      }
-      ps.cycles += ceil_div(run, cap);
-      ps.elems =
-          static_cast<std::int64_t>(rows_by_pass[static_cast<std::size_t>(p)].size());
-    }
-  }
+  const auto pass_stream = stream_by_pass(a, kt, res.k_passes, cap);
 
   std::int64_t loaded_total = 0, drained_total = 0;
   for (index_t t = 0; t < res.n_tiles; ++t) {
@@ -283,38 +288,25 @@ PerfResult model_matmul_dense_b(const CooMatrix& a, index_t n, Format acf_a,
       const index_t k1 = std::min(k0 + kt, k);
       const auto& ps = pass_stream[static_cast<std::size_t>(p)];
 
-      std::int64_t sc, streamed, rows_touched;
-      if (acf_a == Format::kDense) {
-        sc = a.rows() * ceil_div(k1 - k0, cap);
-        streamed = a.rows() * (k1 - k0);
-        rows_touched = a.rows();
-      } else if (acf_a == Format::kCSR) {
-        sc = ps.cycles;
-        streamed = ps.elems;
-        rows_touched = ps.rows_touched;
-      } else {
-        sc = ceil_div(ps.elems, cap);
-        streamed = ps.elems;
-        rows_touched = ps.rows_touched;
-      }
-      res.phases.stream_cycles += sc;
-      res.streamed_elems += streamed;
+      const StreamCost s = stream_cost(a, acf_a, ps, k1 - k0, cap);
+      res.phases.stream_cycles += s.cycles;
+      res.streamed_elems += s.streamed;
 
       // B fully dense: every streamed element matches in every PE; useful
       // equals performed for compressed streams (A's zeros never ship).
       const std::int64_t load_elems = width * (k1 - k0) * elems_per_row;
       loaded_total += load_elems;
       res.phases.load_cycles += ceil_div(load_elems, slots);
-      res.performed_macs += streamed * width;
+      res.performed_macs += s.streamed * width;
       res.useful_macs += ps.elems * width;
 
       const std::int64_t cc = static_cast<std::int64_t>(
-          std::ceil(static_cast<double>(streamed) /
+          std::ceil(static_cast<double>(s.streamed) /
                     cfg.pe_consume_rate(acf_a, acf_b)));
       res.phases.compute_cycles += cc;
-      res.phases.overlap_cycles += std::max(sc, cc);
+      res.phases.overlap_cycles += std::max(s.cycles, cc);
 
-      const std::int64_t drained = rows_touched * width;
+      const std::int64_t drained = s.rows_touched * width;
       drained_total += drained;
       res.phases.drain_cycles += ceil_div(drained, slots);
     }

@@ -4,10 +4,16 @@
 // Shares the exact accounting of the functional cycle simulator (bus
 // packing closed forms, buffer-occupancy K-passes, one PE per output
 // column, compute/stream overlap) but works on compressed operands and
-// tiles over N and K, so it evaluates Table-III-scale workloads in
-// O(nnz) time. tests/test_accel.cpp cross-checks it cycle-for-cycle
-// against simulate_ws_matmul on single-tile instances.
+// tiles over N and K. Pricing one ACF pair is linear, with no sort: one
+// sweep over A for the per-pass stream stats, one over B's columns, plus
+// O(tiles x K passes) bookkeeping. The operand views (MatmulOperands)
+// cost one O(nnz + K + N) counting pass and are shared by every ACF pair
+// a search prices. tests/test_accel.cpp cross-checks the model
+// cycle-for-cycle against simulate_ws_matmul on single-tile instances;
+// tests/test_sage.cpp pins multi-tile, multi-pass results.
 #pragma once
+
+#include <vector>
 
 #include "accel/config.hpp"
 #include "accel/cycle_sim.hpp"
@@ -40,6 +46,28 @@ struct PerfResult {
 PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
                         Format acf_b, const AccelConfig& cfg,
                         const EnergyParams& energy);
+
+// What model_matmul reads of its operands, independent of the ACF pair:
+// A itself (row-major sorted; referenced, so it must outlive the view,
+// and a temporary A does not compile), A's nonzeros per K coordinate, and
+// B's row ids grouped by column (ascending within each column). B's entry
+// order does not matter.
+struct MatmulOperands {
+  MatmulOperands(const CooMatrix& a, const CooMatrix& b);
+  MatmulOperands(CooMatrix&& a, const CooMatrix& b) = delete;
+
+  const CooMatrix& a;
+  index_t n = 0;                        // B's columns
+  std::int64_t b_nnz = 0;
+  std::vector<std::int64_t> a_col_nnz;  // K entries
+  std::vector<index_t> b_col_ptr;       // N + 1 offsets into b_row_ids
+  std::vector<index_t> b_row_ids;
+};
+
+// model_matmul on prebuilt operand views; bit-identical to the overload
+// above.
+PerfResult model_matmul(const MatmulOperands& ops, Format acf_a, Format acf_b,
+                        const AccelConfig& cfg, const EnergyParams& energy);
 
 // SpMM fast path: B is a fully dense K x N matrix. Closed forms replace
 // the per-nonzero B sweep, so a 3600x5500 dense factor (Table III's

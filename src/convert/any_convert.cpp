@@ -1,3 +1,5 @@
+#include <bit>
+
 #include "common/error.hpp"
 #include "convert/convert.hpp"
 
@@ -12,13 +14,81 @@ struct Overloaded : Ts... {
 template <class... Ts>
 Overloaded(Ts...) -> Overloaded<Ts...>;
 
-// Formats whose encode/decode is O(nnz) via COO, without a dense
-// intermediate (RLC counts: Fig. 8d gives it direct COO pipelines).
-// ZVC/DIA/ELL encodings are defined over the dense linearization and
-// must round-trip through decode() instead.
-bool matrix_coo_path(Format f) {
+// Formats that decode to COO in O(nnz) without a dense intermediate (RLC
+// counts: Fig. 8d gives it direct COO pipelines; ZVC and ELL scan their
+// mask words and slots). DIA, which no serving workload stores, still
+// decodes through the dense linearization.
+bool coo_decodable(Format f) {
+  return f == Format::kCOO || f == Format::kCSR || f == Format::kCSC ||
+         f == Format::kRLC || f == Format::kBSR || f == Format::kZVC ||
+         f == Format::kELL;
+}
+
+// Formats the hub encodes from COO. ZVC, DIA and ELL are defined over the
+// dense linearization and encode from a dense matrix instead.
+bool coo_encodable(Format f) {
   return f == Format::kCOO || f == Format::kCSR || f == Format::kCSC ||
          f == Format::kRLC || f == Format::kBSR;
+}
+
+CooMatrix zvc_to_coo(const ZvcMatrix& a) {
+  // Set bits come out of each mask word lowest first (count trailing
+  // zeros, clear lowest bit), so linear positions — and the entries — are
+  // row-major ascending. The row advances with the position instead of
+  // dividing per nonzero. Zero values are dropped, as the dense decode
+  // drops them.
+  std::vector<index_t> rows, cols;
+  std::vector<value_t> vals;
+  rows.reserve(a.values().size());
+  cols.reserve(a.values().size());
+  vals.reserve(a.values().size());
+  const auto& words = a.mask_words();
+  std::size_t next = 0;
+  index_t row = 0, row_start = 0;
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      const auto p = static_cast<index_t>(w * 64) + std::countr_zero(bits);
+      MT_ENSURE(next < a.values().size(),
+                "ZVC mask has more set bits than values");
+      const value_t x = a.values()[next++];
+      if (x == 0.0f) continue;
+      while (p >= row_start + a.cols()) {
+        ++row;
+        row_start += a.cols();
+      }
+      rows.push_back(row);
+      cols.push_back(p - row_start);
+      vals.push_back(x);
+    }
+  }
+  MT_ENSURE(next == a.values().size(), "ZVC values not fully consumed");
+  return CooMatrix::from_entries(a.rows(), a.cols(), std::move(rows),
+                                 std::move(cols), std::move(vals));
+}
+
+CooMatrix ell_to_coo(const EllMatrix& a) {
+  // Row-major slot scan; padding slots (col id -1) and zero values are
+  // skipped, as the dense decode skips them.
+  std::vector<index_t> rows, cols;
+  std::vector<value_t> vals;
+  const auto nnz = static_cast<std::size_t>(a.nnz());
+  rows.reserve(nnz);
+  cols.reserve(nnz);
+  vals.reserve(nnz);
+  for (index_t r = 0; r < a.rows(); ++r) {
+    for (index_t i = r * a.width(); i < (r + 1) * a.width(); ++i) {
+      const index_t c = a.col_ids()[static_cast<std::size_t>(i)];
+      if (c < 0) continue;
+      MT_ENSURE(c < a.cols(), "ELL col id in range");
+      const value_t x = a.values()[static_cast<std::size_t>(i)];
+      if (x == 0.0f) continue;
+      rows.push_back(r);
+      cols.push_back(c);
+      vals.push_back(x);
+    }
+  }
+  return CooMatrix::from_entries(a.rows(), a.cols(), std::move(rows),
+                                 std::move(cols), std::move(vals));
 }
 
 CooMatrix hub_to_coo(const AnyMatrix& m) {
@@ -26,6 +96,8 @@ CooMatrix hub_to_coo(const AnyMatrix& m) {
   if (const auto* csr = std::get_if<CsrMatrix>(&m)) return csr->to_coo();
   if (const auto* csc = std::get_if<CscMatrix>(&m)) return csc->to_coo();
   if (const auto* rlc = std::get_if<RlcMatrix>(&m)) return rlc_to_coo(*rlc);
+  if (const auto* zvc = std::get_if<ZvcMatrix>(&m)) return zvc_to_coo(*zvc);
+  if (const auto* ell = std::get_if<EllMatrix>(&m)) return ell_to_coo(*ell);
   if (const auto* bsr = std::get_if<BsrMatrix>(&m)) {
     return bsr_to_csr(*bsr).to_coo();
   }
@@ -122,10 +194,10 @@ AnyMatrix convert(const AnyMatrix& m, Format target) {
     if (target == Format::kCSR) return bsr_to_csr(*bsr);
   }
   // COO hub (paper §V-B: "COO enables fast translation to other formats"):
-  // compressed->compressed pairs stay O(nnz); only pairs with a
-  // dense-coupled side (ZVC/DIA/ELL, defined over the dense linearization)
-  // decode to a dense intermediate.
-  if (matrix_coo_path(format_of(m)) && matrix_coo_path(target)) {
+  // every MCF but DIA reaches COO in O(nnz), and COO/CSR/CSC/RLC/BSR are
+  // built from it; only a DIA source or a ZVC/DIA/ELL target (defined over
+  // the dense linearization) goes through a dense intermediate.
+  if (coo_decodable(format_of(m)) && coo_encodable(target)) {
     // A COO source feeds the hub converters directly — no copy of the
     // operand is ever made (the serving runtime's conversion cache relies
     // on const-ref conversion from shared, read-only representations).

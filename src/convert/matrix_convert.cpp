@@ -71,18 +71,8 @@ CooMatrix rlc_to_coo(const RlcMatrix& a) {
 }
 
 RlcMatrix coo_to_rlc(const CooMatrix& a, int run_bits) {
-  // COO is row-major sorted, so linear positions are ascending; emit runs
-  // directly without materializing the dense stream.
   MT_REQUIRE(a.is_row_major_sorted(), "COO must be row-major sorted");
-  RlcMatrix out;
-  // Encode through a dense row strip only when needed — here entries are
-  // already ordered, so build the entry list directly via from_dense on a
-  // small wrapper is wasteful for huge matrices. Construct via the public
-  // encoder on a staging dense only for small sizes is not acceptable;
-  // instead reconstruct entries manually.
-  // (RlcMatrix exposes no from_entries, so go through its encoder using a
-  // dense staging buffer; conversions of this direction are only used on
-  // test-scale data.)
+  // RlcMatrix can only be built by its dense encoder: stage through one.
   return RlcMatrix::from_dense(a.to_dense(), run_bits);
 }
 

@@ -1,6 +1,5 @@
 #include "formats/coo.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "common/bitutil.hpp"
@@ -9,15 +8,22 @@
 namespace mt {
 
 namespace {
-// Applies permutation `p` to the three parallel arrays.
-void permute(const std::vector<std::size_t>& p, std::vector<index_t>& r,
-             std::vector<index_t>& c, std::vector<value_t>& v) {
+// One stable counting-sort pass of the three parallel arrays keyed by
+// `key` (the row or the column array), whose values lie in [0, buckets).
+// O(n + buckets); two passes, minor key first, give a lexicographic order.
+void counting_pass(const std::vector<index_t>& key, index_t buckets,
+                   std::vector<index_t>& r, std::vector<index_t>& c,
+                   std::vector<value_t>& v) {
+  std::vector<std::size_t> next(static_cast<std::size_t>(buckets) + 1, 0);
+  for (index_t x : key) ++next[static_cast<std::size_t>(x) + 1];
+  std::partial_sum(next.begin(), next.end(), next.begin());
   std::vector<index_t> r2(r.size()), c2(c.size());
   std::vector<value_t> v2(v.size());
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    r2[i] = r[p[i]];
-    c2[i] = c[p[i]];
-    v2[i] = v[p[i]];
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const std::size_t dst = next[static_cast<std::size_t>(key[i])]++;
+    r2[dst] = r[i];
+    c2[dst] = c[i];
+    v2[dst] = v[i];
   }
   r = std::move(r2);
   c = std::move(c2);
@@ -43,7 +49,8 @@ CooMatrix CooMatrix::from_entries(index_t rows, index_t cols,
                    c.col_[i] < cols,
                "COO coordinate out of range");
   }
-  c.sort_row_major();
+  c.row_major_ = c.scan_row_major();
+  c.sort_row_major();  // a no-op when the input is already sorted
   for (std::size_t i = 1; i < c.val_.size(); ++i) {
     MT_REQUIRE(c.row_[i] != c.row_[i - 1] || c.col_[i] != c.col_[i - 1],
                "duplicate COO coordinate");
@@ -75,24 +82,21 @@ DenseMatrix CooMatrix::to_dense() const {
 }
 
 void CooMatrix::sort_row_major() {
-  std::vector<std::size_t> p(val_.size());
-  std::iota(p.begin(), p.end(), 0);
-  std::sort(p.begin(), p.end(), [&](std::size_t a, std::size_t b) {
-    return row_[a] != row_[b] ? row_[a] < row_[b] : col_[a] < col_[b];
-  });
-  permute(p, row_, col_, val_);
+  if (row_major_) return;
+  counting_pass(col_, cols_, row_, col_, val_);
+  counting_pass(row_, rows_, row_, col_, val_);
+  row_major_ = true;  // coordinates are unique
 }
 
 void CooMatrix::sort_col_major() {
-  std::vector<std::size_t> p(val_.size());
-  std::iota(p.begin(), p.end(), 0);
-  std::sort(p.begin(), p.end(), [&](std::size_t a, std::size_t b) {
-    return col_[a] != col_[b] ? col_[a] < col_[b] : row_[a] < row_[b];
-  });
-  permute(p, row_, col_, val_);
+  // Stable by column: a row-major input already has its rows ascending
+  // within every column, so one pass suffices.
+  if (!row_major_) counting_pass(row_, rows_, row_, col_, val_);
+  counting_pass(col_, cols_, row_, col_, val_);
+  row_major_ = scan_row_major();  // e.g. a diagonal is sorted both ways
 }
 
-bool CooMatrix::is_row_major_sorted() const {
+bool CooMatrix::scan_row_major() const {
   for (std::size_t i = 1; i < val_.size(); ++i) {
     if (row_[i] < row_[i - 1] ||
         (row_[i] == row_[i - 1] && col_[i] <= col_[i - 1])) {

@@ -18,8 +18,9 @@ class CooMatrix {
  public:
   CooMatrix() = default;
 
-  // Entries may arrive unsorted; they are sorted row-major and validated
-  // (in-range, no duplicates).
+  // Entries may arrive unsorted; they are sorted row-major (input that is
+  // already sorted is only scanned) and always validated (in-range, no
+  // duplicates).
   static CooMatrix from_entries(index_t rows, index_t cols,
                                 std::vector<index_t> row_ids,
                                 std::vector<index_t> col_ids,
@@ -36,18 +37,25 @@ class CooMatrix {
   const std::vector<index_t>& col_ids() const { return col_; }
   const std::vector<value_t>& values() const { return val_; }
 
-  // Re-sorts entries column-major (col, then row) or row-major.
+  // Re-sorts entries column-major (col, then row) or row-major, by stable
+  // counting sort: O(nnz + rows + cols).
   void sort_col_major();
   void sort_row_major();
-  bool is_row_major_sorted() const;
+  // Strictly ascending (row, col) order. O(1): every constructor and sort
+  // records it, and entries cannot change otherwise.
+  bool is_row_major_sorted() const { return row_major_; }
 
   StorageSize storage(DataType dt) const;
 
  private:
+  // Scans the entries for strictly ascending (row, col) order.
+  bool scan_row_major() const;
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<index_t> row_, col_;
   std::vector<value_t> val_;
+  bool row_major_ = true;
 };
 
 }  // namespace mt

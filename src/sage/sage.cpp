@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "formats/storage.hpp"
@@ -49,6 +50,96 @@ ConversionCost operand_conversion(Format mcf, Format acf, index_t rows,
     }
   }
   return {};
+}
+
+// True if the space admits storing an operand in `mcf` and computing on
+// it in `acf`.
+bool admissible(const FormatSpace& space, Format mcf, Format acf) {
+  return mcf == acf ||
+         (!space.mcf_must_equal_acf && space.converter != ConverterKind::kNone);
+}
+
+// Rows, columns and nonzeros of one matmul operand.
+struct OperandShape {
+  index_t rows = 0;
+  index_t cols = 0;
+  std::int64_t nnz = 0;
+};
+
+// Conversion price of every admissible (MCF, ACF) pair of one operand,
+// indexed [mcf index * acfs.size() + acf index] over the space's lists:
+// a search prices each pair once instead of once per candidate.
+std::vector<ConversionCost> conversion_table(const std::vector<Format>& mcfs,
+                                             const std::vector<Format>& acfs,
+                                             const OperandShape& x,
+                                             const FormatSpace& space,
+                                             DataType dt,
+                                             const EnergyParams& energy) {
+  std::vector<ConversionCost> table(mcfs.size() * acfs.size());
+  for (std::size_t i = 0; i < mcfs.size(); ++i) {
+    for (std::size_t j = 0; j < acfs.size(); ++j) {
+      if (!admissible(space, mcfs[i], acfs[j])) continue;
+      table[i * acfs.size() + j] =
+          operand_conversion(mcfs[i], acfs[j], x.rows, x.cols, x.nnz, dt,
+                             space.converter, energy);
+    }
+  }
+  return table;
+}
+
+// The search behind both matmul entry points: every admissible MCF x ACF
+// combination of A and B, priced as DRAM transfer + conversion + compute,
+// keeping the lowest EDP. `perf_of(acf_a, acf_b)` runs the performance
+// model once per ACF pair; O costs `bits_o` of DRAM traffic in `mcf_o`.
+template <class PerfOf>
+SageChoice search_matmul(const OperandShape& a, const OperandShape& b,
+                         Format mcf_o, std::int64_t bits_o,
+                         const AccelConfig& cfg, const EnergyParams& energy,
+                         const FormatSpace& space, PerfOf perf_of) {
+  const DataType dt = cfg.dtype;
+  const auto conv_a =
+      conversion_table(space.mcf_a, space.acf_a, a, space, dt, energy);
+  const auto conv_b =
+      conversion_table(space.mcf_b, space.acf_b, b, space, dt, energy);
+
+  SageChoice best;
+  best.edp = std::numeric_limits<double>::infinity();
+  for (std::size_t ia = 0; ia < space.acf_a.size(); ++ia) {
+    const Format acf_a = space.acf_a[ia];
+    for (std::size_t ib = 0; ib < space.acf_b.size(); ++ib) {
+      const Format acf_b = space.acf_b[ib];
+      const PerfResult perf = perf_of(acf_a, acf_b);
+      for (std::size_t ma = 0; ma < space.mcf_a.size(); ++ma) {
+        const Format mcf_a = space.mcf_a[ma];
+        if (!admissible(space, mcf_a, acf_a)) continue;
+        const auto bits_a =
+            expected_matrix_storage(mcf_a, a.rows, a.cols, a.nnz, dt)
+                .total_bits();
+        const auto& ca = conv_a[ma * space.acf_a.size() + ia];
+        for (std::size_t mb = 0; mb < space.mcf_b.size(); ++mb) {
+          const Format mcf_b = space.mcf_b[mb];
+          if (!admissible(space, mcf_b, acf_b)) continue;
+          const auto bits_b =
+              expected_matrix_storage(mcf_b, b.rows, b.cols, b.nnz, dt)
+                  .total_bits();
+          const auto& cb = conv_b[mb * space.acf_b.size() + ib];
+          CostBreakdown c;
+          c.dram_cycles = energy.dram_cycles(bits_a + bits_b + bits_o);
+          c.dram_energy_j = energy.dram_energy_j(bits_a + bits_b + bits_o);
+          c.convert_cycles = ca.cycles + cb.cycles;
+          c.convert_energy_j = ca.energy_j + cb.energy_j;
+          c.compute_cycles = perf.total_cycles();
+          c.compute_energy_j = perf.compute_energy_j;
+          const double e = c.edp(energy);
+          if (e < best.edp) {
+            best = {mcf_a, mcf_b, acf_a, acf_b, mcf_o, c, e, perf};
+          }
+        }
+      }
+    }
+  }
+  MT_ENSURE(std::isfinite(best.edp), "no admissible format combination");
+  return best;
 }
 
 }  // namespace
@@ -143,56 +234,17 @@ SageChoice sage_select_matmul(const CooMatrix& a, const CooMatrix& b,
   MT_REQUIRE(!space.mcf_a.empty() && !space.mcf_b.empty() &&
                  !space.acf_a.empty() && !space.acf_b.empty(),
              "format space must be non-empty");
-  const Format mcf_o = choose_output_mcf(a, b, cfg.dtype);
-
-  SageChoice best;
-  best.edp = std::numeric_limits<double>::infinity();
-  for (Format acf_a : space.acf_a) {
-    for (Format acf_b : space.acf_b) {
-      const auto perf = model_matmul(a, b, acf_a, acf_b, cfg, energy);
-      for (Format mcf_a : space.mcf_a) {
-        if (space.mcf_must_equal_acf && mcf_a != acf_a) continue;
-        if (space.converter == ConverterKind::kNone && mcf_a != acf_a) continue;
-        for (Format mcf_b : space.mcf_b) {
-          if (space.mcf_must_equal_acf && mcf_b != acf_b) continue;
-          if (space.converter == ConverterKind::kNone && mcf_b != acf_b) continue;
-          CostBreakdown c;
-          const DataType dt = cfg.dtype;
-          const auto bits_a = expected_matrix_storage(mcf_a, a.rows(), a.cols(),
-                                                      a.nnz(), dt).total_bits();
-          const auto bits_b = expected_matrix_storage(mcf_b, b.rows(), b.cols(),
-                                                      b.nnz(), dt).total_bits();
-          std::int64_t nnz_o = 0;
-          choose_output_mcf(a, b, dt, &nnz_o);
-          const auto bits_o = expected_matrix_storage(mcf_o, a.rows(), b.cols(),
-                                                      nnz_o, dt).total_bits();
-          c.dram_cycles = energy.dram_cycles(bits_a + bits_b + bits_o);
-          c.dram_energy_j = energy.dram_energy_j(bits_a + bits_b + bits_o);
-          const auto conv_a =
-              mcf_a == acf_a ? ConversionCost{}
-                             : operand_conversion(mcf_a, acf_a, a.rows(),
-                                                  a.cols(), a.nnz(), dt,
-                                                  space.converter, energy);
-          const auto conv_b =
-              mcf_b == acf_b ? ConversionCost{}
-                             : operand_conversion(mcf_b, acf_b, b.rows(),
-                                                  b.cols(), b.nnz(), dt,
-                                                  space.converter, energy);
-          c.convert_cycles = conv_a.cycles + conv_b.cycles;
-          c.convert_energy_j = conv_a.energy_j + conv_b.energy_j;
-          c.compute_cycles = perf.total_cycles();
-          c.compute_energy_j = perf.compute_energy_j;
-
-          const double e = c.edp(energy);
-          if (e < best.edp) {
-            best = {mcf_a, mcf_b, acf_a, acf_b, mcf_o, c, e, perf};
-          }
-        }
-      }
-    }
-  }
-  MT_ENSURE(std::isfinite(best.edp), "no admissible format combination");
-  return best;
+  std::int64_t nnz_o = 0;
+  const Format mcf_o = choose_output_mcf(a, b, cfg.dtype, &nnz_o);
+  const auto bits_o =
+      expected_matrix_storage(mcf_o, a.rows(), b.cols(), nnz_o, cfg.dtype)
+          .total_bits();
+  const MatmulOperands ops(a, b);
+  return search_matmul(
+      {a.rows(), a.cols(), a.nnz()}, {b.rows(), b.cols(), b.nnz()}, mcf_o,
+      bits_o, cfg, energy, space, [&](Format acf_a, Format acf_b) {
+        return model_matmul(ops, acf_a, acf_b, cfg, energy);
+      });
 }
 
 SageChoice sage_select_spmm_dense_b(const CooMatrix& a, index_t n,
@@ -202,57 +254,17 @@ SageChoice sage_select_spmm_dense_b(const CooMatrix& a, index_t n,
   MT_REQUIRE(!space.mcf_a.empty() && !space.mcf_b.empty() &&
                  !space.acf_a.empty() && !space.acf_b.empty(),
              "format space must be non-empty");
-  const DataType dt = cfg.dtype;
   const index_t k = a.cols();
-  const std::int64_t b_nnz = k * n;  // fully dense factor
-
   // Output of sparse x dense is dense row-wise wherever A's row has any
   // nonzero; store Dense (it is within a few metadata bits of optimal and
   // matches every MCFO the paper reports for SpMM).
-  const Format mcf_o = Format::kDense;
-  const std::int64_t bits_o = a.rows() * n * bits_of(dt);
-
-  SageChoice best;
-  best.edp = std::numeric_limits<double>::infinity();
-  for (Format acf_a : space.acf_a) {
-    for (Format acf_b : space.acf_b) {
-      const auto perf = model_matmul_dense_b(a, n, acf_a, acf_b, cfg, energy);
-      for (Format mcf_a : space.mcf_a) {
-        if (space.mcf_must_equal_acf && mcf_a != acf_a) continue;
-        if (space.converter == ConverterKind::kNone && mcf_a != acf_a) continue;
-        for (Format mcf_b : space.mcf_b) {
-          if (space.mcf_must_equal_acf && mcf_b != acf_b) continue;
-          if (space.converter == ConverterKind::kNone && mcf_b != acf_b) continue;
-          CostBreakdown c;
-          const auto bits_a = expected_matrix_storage(mcf_a, a.rows(), k,
-                                                      a.nnz(), dt).total_bits();
-          const auto bits_b =
-              expected_matrix_storage(mcf_b, k, n, b_nnz, dt).total_bits();
-          c.dram_cycles = energy.dram_cycles(bits_a + bits_b + bits_o);
-          c.dram_energy_j = energy.dram_energy_j(bits_a + bits_b + bits_o);
-          const auto conv_a =
-              mcf_a == acf_a ? ConversionCost{}
-                             : operand_conversion(mcf_a, acf_a, a.rows(), k,
-                                                  a.nnz(), dt, space.converter,
-                                                  energy);
-          const auto conv_b =
-              mcf_b == acf_b ? ConversionCost{}
-                             : operand_conversion(mcf_b, acf_b, k, n, b_nnz,
-                                                  dt, space.converter, energy);
-          c.convert_cycles = conv_a.cycles + conv_b.cycles;
-          c.convert_energy_j = conv_a.energy_j + conv_b.energy_j;
-          c.compute_cycles = perf.total_cycles();
-          c.compute_energy_j = perf.compute_energy_j;
-          const double e = c.edp(energy);
-          if (e < best.edp) {
-            best = {mcf_a, mcf_b, acf_a, acf_b, mcf_o, c, e, perf};
-          }
-        }
-      }
-    }
-  }
-  MT_ENSURE(std::isfinite(best.edp), "no admissible format combination");
-  return best;
+  const std::int64_t bits_o = a.rows() * n * bits_of(cfg.dtype);
+  return search_matmul(
+      {a.rows(), k, a.nnz()}, {k, n, k * n /* fully dense factor */},
+      Format::kDense, bits_o, cfg, energy, space,
+      [&](Format acf_a, Format acf_b) {
+        return model_matmul_dense_b(a, n, acf_a, acf_b, cfg, energy);
+      });
 }
 
 SageTensorChoice sage_select_tensor(const CooTensor3& x, index_t rank,

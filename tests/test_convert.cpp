@@ -2,8 +2,12 @@
 // any->any conversion layer (property: decode is invariant under convert).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "common/prng.hpp"
 #include "convert/convert.hpp"
 #include "testing.hpp"
 
@@ -146,6 +150,146 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(name_of(std::get<0>(info.param))) + "_to_" +
              std::string(name_of(std::get<1>(info.param)));
     });
+
+// --- Every MCF reaches COO/CSR/CSC exactly as the dense decode does ---
+
+template <class Vec>
+std::vector<std::uint32_t> value_bits(const Vec& v) {
+  std::vector<std::uint32_t> out;
+  out.reserve(v.size());
+  for (value_t x : v) out.push_back(std::bit_cast<std::uint32_t>(x));
+  return out;
+}
+
+void expect_same(const AnyMatrix& got, const AnyMatrix& want) {
+  ASSERT_EQ(format_of(got), format_of(want));
+  EXPECT_EQ(rows_of(got), rows_of(want));
+  EXPECT_EQ(cols_of(got), cols_of(want));
+  if (const auto* g = std::get_if<CooMatrix>(&got)) {
+    const auto& w = std::get<CooMatrix>(want);
+    EXPECT_EQ(g->row_ids(), w.row_ids());
+    EXPECT_EQ(g->col_ids(), w.col_ids());
+    EXPECT_EQ(value_bits(g->values()), value_bits(w.values()));
+  } else if (const auto* g = std::get_if<CsrMatrix>(&got)) {
+    const auto& w = std::get<CsrMatrix>(want);
+    EXPECT_EQ(g->row_ptr(), w.row_ptr());
+    EXPECT_EQ(g->col_ids(), w.col_ids());
+    EXPECT_EQ(value_bits(g->values()), value_bits(w.values()));
+  } else {
+    const auto& g2 = std::get<CscMatrix>(got);
+    const auto& w = std::get<CscMatrix>(want);
+    EXPECT_EQ(g2.col_ptr(), w.col_ptr());
+    EXPECT_EQ(g2.row_ids(), w.row_ids());
+    EXPECT_EQ(value_bits(g2.values()), value_bits(w.values()));
+  }
+}
+
+class McfToHub
+    : public ::testing::TestWithParam<std::tuple<index_t, index_t, double>> {};
+
+TEST_P(McfToHub, MatchesDenseDecodeBitwise) {
+  const auto [m, k, density] = GetParam();
+  for (std::uint64_t seed : {11u, 12u}) {
+    const auto d = random_dense(m, k, density, seed);
+    for (Format from : {Format::kDense, Format::kCOO, Format::kCSR,
+                        Format::kCSC, Format::kRLC, Format::kZVC,
+                        Format::kBSR, Format::kDIA, Format::kELL}) {
+      const AnyMatrix src = encode(d, from);
+      for (Format to : {Format::kCOO, Format::kCSR, Format::kCSC}) {
+        SCOPED_TRACE(std::string(name_of(from)) + "->" +
+                     std::string(name_of(to)) + " seed " +
+                     std::to_string(seed));
+        expect_same(convert(src, to), encode(decode(src), to));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, McfToHub,
+    ::testing::Values(std::tuple<index_t, index_t, double>{0, 0, 0.0},
+                      std::tuple<index_t, index_t, double>{0, 7, 0.0},
+                      std::tuple<index_t, index_t, double>{7, 0, 0.0},
+                      std::tuple<index_t, index_t, double>{1, 130, 0.2},
+                      std::tuple<index_t, index_t, double>{130, 1, 0.2},
+                      std::tuple<index_t, index_t, double>{63, 65, 0.0},
+                      std::tuple<index_t, index_t, double>{63, 65, 0.03},
+                      std::tuple<index_t, index_t, double>{70, 129, 0.3},
+                      std::tuple<index_t, index_t, double>{64, 64, 1.0}));
+
+TEST(McfToHub, EllPaddingSlotsAreSkipped) {
+  // One full row and one empty row: every other row is padded out to the
+  // full width.
+  auto d = random_dense(9, 37, 0.1, 21);
+  for (index_t c = 0; c < 37; ++c) d.set(3, c, 1.0f + static_cast<value_t>(c));
+  for (index_t c = 0; c < 37; ++c) d.set(5, c, 0.0f);
+  const auto ell = EllMatrix::from_dense(d);
+  ASSERT_EQ(ell.width(), 37);
+  ASSERT_GT(ell.rows() * ell.width(), d.nnz());
+  for (Format to : {Format::kCOO, Format::kCSR, Format::kCSC}) {
+    expect_same(convert(AnyMatrix(ell), to), encode(d, to));
+  }
+}
+
+TEST(CooEntries, SortsUnsortedInputLikeTheDenseScan) {
+  const auto want = CooMatrix::from_dense(random_dense(45, 70, 0.1, 5));
+  std::vector<std::size_t> order(static_cast<std::size_t>(want.nnz()));
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Prng rng(6);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  std::vector<index_t> rows, cols;
+  std::vector<value_t> vals;
+  for (std::size_t i : order) {
+    rows.push_back(want.row_ids()[i]);
+    cols.push_back(want.col_ids()[i]);
+    vals.push_back(want.values()[i]);
+  }
+  const auto got = CooMatrix::from_entries(45, 70, rows, cols, vals);
+  EXPECT_EQ(got.row_ids(), want.row_ids());
+  EXPECT_EQ(got.col_ids(), want.col_ids());
+  EXPECT_EQ(value_bits(got.values()), value_bits(want.values()));
+
+  // Column-major order and back again.
+  auto cm = got;
+  cm.sort_col_major();
+  EXPECT_FALSE(cm.is_row_major_sorted());
+  for (std::int64_t i = 1; i < cm.nnz(); ++i) {
+    const auto p = static_cast<std::size_t>(i);
+    EXPECT_TRUE(cm.col_ids()[p - 1] < cm.col_ids()[p] ||
+                (cm.col_ids()[p - 1] == cm.col_ids()[p] &&
+                 cm.row_ids()[p - 1] < cm.row_ids()[p]));
+  }
+  cm.sort_row_major();
+  EXPECT_EQ(cm.row_ids(), want.row_ids());
+  EXPECT_EQ(cm.col_ids(), want.col_ids());
+  EXPECT_EQ(value_bits(cm.values()), value_bits(want.values()));
+}
+
+TEST(CooEntries, RejectsBadCoordinatesSortedOrNot) {
+  using V = std::vector<index_t>;
+  const std::vector<value_t> three = {1.f, 2.f, 3.f};
+  // Already row-major sorted.
+  EXPECT_THROW(CooMatrix::from_entries(3, 3, V{0, 1, 3}, V{0, 1, 2}, three),
+               std::invalid_argument);
+  EXPECT_THROW(CooMatrix::from_entries(3, 3, V{0, 1, 2}, V{0, 1, 3}, three),
+               std::invalid_argument);
+  EXPECT_THROW(CooMatrix::from_entries(3, 3, V{-1, 1, 2}, V{0, 1, 2}, three),
+               std::invalid_argument);
+  EXPECT_THROW(CooMatrix::from_entries(3, 3, V{0, 1, 1}, V{0, 2, 2}, three),
+               std::invalid_argument);
+  // Unsorted.
+  EXPECT_THROW(CooMatrix::from_entries(3, 3, V{2, 0, 3}, V{0, 1, 2}, three),
+               std::invalid_argument);
+  EXPECT_THROW(CooMatrix::from_entries(3, 3, V{2, 0, 1}, V{0, -1, 2}, three),
+               std::invalid_argument);
+  EXPECT_THROW(CooMatrix::from_entries(3, 3, V{2, 0, 2}, V{1, 1, 1}, three),
+               std::invalid_argument);
+  // The valid neighbours of those inputs are accepted.
+  EXPECT_NO_THROW(CooMatrix::from_entries(3, 3, V{0, 1, 2}, V{0, 1, 2}, three));
+  EXPECT_NO_THROW(CooMatrix::from_entries(3, 3, V{2, 0, 2}, V{1, 1, 0}, three));
+}
 
 class AnyTensorToAny
     : public ::testing::TestWithParam<std::tuple<Format, Format>> {};

@@ -4,6 +4,9 @@
 // Fig. 12/13.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "baselines/baselines.hpp"
 #include "sage/sage.hpp"
 #include "workloads/registry.hpp"
@@ -163,6 +166,191 @@ TEST(Sage, EmptySpaceThrows) {
   FormatSpace s;
   EXPECT_THROW(sage_select_matmul(mm.a, mm.b, cfg, e, s),
                std::invalid_argument);
+}
+
+// --- Golden model and search values ---
+//
+// PerfResult fields and SageChoices recorded from the comparison-sort
+// reference model on seeded operands. The planner path is rewritten for
+// speed from time to time; every recorded figure must survive unchanged.
+
+struct PerfGolden {
+  std::int64_t load, stream, compute, overlap, drain;
+  std::int64_t performed, useful, streamed, n_tiles, k_passes;
+  double bus_occupancy, pe_utilization, energy_j;
+};
+
+void expect_golden(const PerfResult& r, const PerfGolden& g) {
+  EXPECT_EQ(r.phases.load_cycles, g.load);
+  EXPECT_EQ(r.phases.stream_cycles, g.stream);
+  EXPECT_EQ(r.phases.compute_cycles, g.compute);
+  EXPECT_EQ(r.phases.overlap_cycles, g.overlap);
+  EXPECT_EQ(r.phases.drain_cycles, g.drain);
+  EXPECT_EQ(r.performed_macs, g.performed);
+  EXPECT_EQ(r.useful_macs, g.useful);
+  EXPECT_EQ(r.streamed_elems, g.streamed);
+  EXPECT_EQ(r.n_tiles, g.n_tiles);
+  EXPECT_EQ(r.k_passes, g.k_passes);
+  EXPECT_DOUBLE_EQ(r.bus_occupancy, g.bus_occupancy);
+  EXPECT_DOUBLE_EQ(r.pe_utilization, g.pe_utilization);
+  EXPECT_DOUBLE_EQ(r.compute_energy_j, g.energy_j);
+}
+
+struct ChoiceGolden {
+  Format mcf_a, mcf_b, acf_a, acf_b, mcf_o;
+  std::int64_t dram, convert, compute;
+  double dram_j, convert_j, compute_j, edp;
+};
+
+void expect_golden(const SageChoice& c, const ChoiceGolden& g) {
+  EXPECT_EQ(c.mcf_a, g.mcf_a);
+  EXPECT_EQ(c.mcf_b, g.mcf_b);
+  EXPECT_EQ(c.acf_a, g.acf_a);
+  EXPECT_EQ(c.acf_b, g.acf_b);
+  EXPECT_EQ(c.mcf_o, g.mcf_o);
+  EXPECT_EQ(c.cost.dram_cycles, g.dram);
+  EXPECT_EQ(c.cost.convert_cycles, g.convert);
+  EXPECT_EQ(c.cost.compute_cycles, g.compute);
+  EXPECT_DOUBLE_EQ(c.cost.dram_energy_j, g.dram_j);
+  EXPECT_DOUBLE_EQ(c.cost.convert_energy_j, g.convert_j);
+  EXPECT_DOUBLE_EQ(c.cost.compute_energy_j, g.compute_j);
+  EXPECT_DOUBLE_EQ(c.edp, g.edp);
+  EXPECT_EQ(c.perf.total_cycles(), g.compute);
+}
+
+constexpr std::array<Format, 3> kStreamAcfs = {Format::kDense, Format::kCSR,
+                                               Format::kCOO};
+constexpr std::array<Format, 2> kStationaryAcfs = {Format::kDense,
+                                                   Format::kCSC};
+
+// On the walkthrough array (4 PEs, 5-slot bus, 8-element buffers) N = 18
+// spans five output tiles; a Dense B makes five K passes (kt = 8) and a
+// CSC B three (kt = 19, from B's 21% density).
+MM walkthrough_pair() {
+  return {synth_coo_matrix(24, 40, 200, 101),
+          synth_coo_matrix(40, 18, 150, 102)};
+}
+
+// On test_cfg() N = 600 spans three tiles; a Dense B makes six K passes.
+MM test_cfg_pair() {
+  return {synth_coo_matrix(300, 700, 9000, 111),
+          synth_coo_matrix(700, 600, 21000, 112)};
+}
+
+// The same B with its entries in column-major order: neither the model
+// nor the search may depend on B's entry order.
+CooMatrix col_major(CooMatrix b) {
+  b.sort_col_major();
+  return b;
+}
+
+TEST(SageGolden, MatmulPerfOnEveryAcfPair) {
+  const EnergyParams e;
+  const PerfGolden walkthrough[] = {
+      {160, 1200, 600, 1200, 450, 17280, 723, 4800, 5, 5, 0.80000000000000004, 0.012482734806629835, 5.2190400000000004e-07},
+      {66, 1320, 6048, 6072, 270, 3600, 723, 4800, 5, 3, 0.72727272727272729, 0.0035258661048689138, 3.4494000000000002e-07},
+      {160, 635, 4000, 4000, 375, 3600, 723, 1000, 5, 5, 0.31496062992125984, 0.0049820837927232638, 1.8043599999999999e-07},
+      {66, 580, 1216, 1223, 203, 723, 723, 1000, 5, 3, 0.34482758620689657, 0.015143264075067024, 1.0808080000000002e-07},
+      {160, 1000, 4000, 4000, 375, 3600, 723, 1000, 5, 5, 0.20000000000000001, 0.0049820837927232638, 1.8043599999999999e-07},
+      {66, 1000, 1216, 1260, 203, 723, 723, 1000, 5, 3, 0.20000000000000001, 0.014776814911706997, 1.0808080000000002e-07},
+  };
+  const PerfGolden larger[] = {
+      {26250, 44100, 78750, 78750, 67500, 126000000, 270279, 630000, 3, 6, 0.8928571428571429, 0.00076505604619565219, 0.0012980399999999999},
+      {2627, 42300, 193200, 193200, 11250, 6300000, 270279, 630000, 3, 1, 0.93085106382978722, 0.00063730963829276063, 0.0001017276},
+      {26250, 6102, 108000, 108000, 66452, 5400000, 270279, 27000, 3, 6, 0.27654867256637167, 0.00065755282941251214, 0.0001088076},
+      {2627, 4233, 8348, 8348, 11250, 270279, 270279, 27000, 3, 1, 0.39865343727852587, 0.0059380053079302591, 1.32098784e-05},
+      {26250, 5406, 108000, 108000, 66452, 5400000, 270279, 27000, 3, 6, 0.31215316315205327, 0.00065755282941251214, 0.0001088076},
+      {2627, 5400, 8348, 8348, 11250, 270279, 270279, 27000, 3, 1, 0.3125, 0.0059380053079302591, 1.32098784e-05},
+  };
+  const struct {
+    AccelConfig cfg;
+    MM mm;
+    const PerfGolden* want;
+  } cases[] = {{AccelConfig::walkthrough(), walkthrough_pair(), walkthrough},
+               {test_cfg(), test_cfg_pair(), larger}};
+  for (const auto& c : cases) {
+    const CooMatrix b_col_major = col_major(c.mm.b);
+    ASSERT_FALSE(b_col_major.is_row_major_sorted());
+    std::size_t i = 0;
+    for (Format fa : kStreamAcfs) {
+      for (Format fb : kStationaryAcfs) {
+        SCOPED_TRACE(std::string(name_of(fa)) + "/" + std::string(name_of(fb)));
+        expect_golden(model_matmul(c.mm.a, c.mm.b, fa, fb, c.cfg, e), c.want[i]);
+        expect_golden(model_matmul(c.mm.a, b_col_major, fa, fb, c.cfg, e),
+                      c.want[i]);
+        ++i;
+      }
+    }
+  }
+}
+
+TEST(SageGolden, DenseBPerfOnEveryAcfPair) {
+  // N = 10 spans three walkthrough tiles; a Dense B makes five K passes
+  // (kt = 8), a CSC B ten (kt = 4: two buffer elements per row).
+  const auto cfg = AccelConfig::walkthrough();
+  const EnergyParams e;
+  const auto a = walkthrough_pair().a;
+  const PerfGolden want[] = {
+      {90, 720, 360, 720, 250, 9600, 2000, 2880, 3, 5, 0.80000000000000004, 0.058962264150943397, 3.0078399999999998e-07},
+      {180, 720, 11520, 11520, 500, 9600, 2000, 2880, 3, 10, 0.80000000000000004, 0.0051229508196721308, 3.6310400000000002e-07},
+      {90, 381, 2400, 2400, 209, 2000, 2000, 600, 3, 5, 0.31496062992125984, 0.023156724712856614, 1.025e-07},
+      {180, 441, 2400, 2400, 302, 2000, 2000, 600, 3, 10, 0.27210884353741499, 0.021686328938237336, 1.2631999999999998e-07},
+      {90, 600, 2400, 2400, 209, 2000, 2000, 600, 3, 5, 0.20000000000000001, 0.023156724712856614, 1.025e-07},
+      {180, 600, 2400, 2400, 302, 2000, 2000, 600, 3, 10, 0.20000000000000001, 0.021686328938237336, 1.2631999999999998e-07},
+  };
+  std::size_t i = 0;
+  for (Format fa : kStreamAcfs) {
+    for (Format fb : kStationaryAcfs) {
+      SCOPED_TRACE(std::string(name_of(fa)) + "/" + std::string(name_of(fb)));
+      expect_golden(model_matmul_dense_b(a, 10, fa, fb, cfg, e), want[i++]);
+    }
+  }
+}
+
+TEST(SageGolden, WalkthroughChoices) {
+  const auto cfg = AccelConfig::walkthrough();
+  const EnergyParams e;
+  const auto mm = walkthrough_pair();
+  const ChoiceGolden matmul = {Format::kCSR, Format::kCSC, Format::kCSR, Format::kCSC, Format::kZVC, 50, 0, 1492, 5.1143999999999993e-07, 0, 1.0808080000000002e-07, 9.5530107359999984e-13};
+  expect_golden(sage_select_matmul(mm.a, mm.b, cfg, e), matmul);
+  expect_golden(sage_select_matmul(mm.a, col_major(mm.b), cfg, e), matmul);
+  expect_golden(sage_select_spmm_dense_b(mm.a, 10, cfg, e),
+                {Format::kRLC, Format::kDense, Format::kDense, Format::kDense, Format::kDense, 55, 95, 1060, 5.5719999999999993e-07, 3.7600000000000003e-09, 3.0078399999999998e-07, 1.04271024e-12});
+}
+
+TEST(SageGolden, ChoicesInEveryBaselineSpace) {
+  // The Table-II spaces exercise every search restriction: kNone and
+  // MCF == ACF spaces, fixed MCFs, the hardware and software converters.
+  const auto cfg = test_cfg();
+  const EnergyParams e;
+  const auto mm = test_cfg_pair();
+  const ChoiceGolden matmul[] = {
+      {Format::kDense, Format::kDense, Format::kDense, Format::kDense, Format::kZVC, 48471, 0, 172500, 0.00049633727999999998, 0, 0.0012980399999999999, 3.9650534193887999e-07},
+      {Format::kCSR, Format::kDense, Format::kCSR, Format::kDense, Format::kZVC, 36092, 0, 200702, 0.00036958156, 0, 0.0001088076, 1.1327968275303999e-07},
+      {Format::kZVC, Format::kZVC, Format::kCSR, Format::kCSC, Format::kZVC, 12201, 16682, 22225, 0.00012493727999999998, 6.567138e-06, 1.32098784e-05, 7.3960582604111997e-09},
+      {Format::kCSR, Format::kCSC, Format::kCSR, Format::kCSC, Format::kZVC, 11583, 0, 22225, 0.00011860185999999999, 0, 1.32098784e-05, 4.4562912518271995e-09},
+      {Format::kZVC, Format::kZVC, Format::kDense, Format::kDense, Format::kZVC, 12201, 36369, 172500, 0.00012493727999999998, 6.9315999999999998e-06, 0.0012980399999999999, 3.1610995610159995e-07},
+      {Format::kCSR, Format::kCSC, Format::kCSR, Format::kCSC, Format::kZVC, 11583, 0, 22225, 0.00011860185999999999, 0, 1.32098784e-05, 4.4562912518271995e-09},
+      {Format::kCSR, Format::kCSC, Format::kCSR, Format::kCSC, Format::kZVC, 11583, 0, 22225, 0.00011860185999999999, 0, 1.32098784e-05, 4.4562912518271995e-09},
+  };
+  const ChoiceGolden dense_b[] = {
+      {Format::kDense, Format::kDense, Format::kDense, Format::kDense, Format::kDense, 50625, 0, 172500, 0.00051839999999999992, 0, 0.0012980399999999999, 4.0529317499999997e-07},
+      {Format::kCSR, Format::kDense, Format::kCSR, Format::kDense, Format::kDense, 38247, 0, 200702, 0.00039164427999999999, 0, 0.0001088076, 1.1958247627412e-07},
+      {Format::kZVC, Format::kZVC, Format::kCSR, Format::kDense, Format::kDense, 39293, 5690, 200702, 0.00040235999999999999, 6.8232115e-06, 0.0001088076, 1.2726257252337748e-07},
+      {Format::kCSR, Format::kDense, Format::kCSR, Format::kDense, Format::kDense, 38247, 0, 200702, 0.00039164427999999999, 0, 0.0001088076, 1.1958247627412e-07},
+      {Format::kZVC, Format::kDense, Format::kDense, Format::kDense, Format::kDense, 38473, 12202, 172500, 0.00039396, 2.3108e-06, 0.0012980399999999999, 3.7812781278999996e-07},
+      {Format::kCSR, Format::kDense, Format::kCSR, Format::kDense, Format::kDense, 38247, 0, 200702, 0.00039164427999999999, 0, 0.0001088076, 1.1958247627412e-07},
+      {Format::kCSR, Format::kDense, Format::kCSR, Format::kDense, Format::kDense, 38247, 0, 200702, 0.00039164427999999999, 0, 0.0001088076, 1.1958247627412e-07},
+  };
+  std::size_t i = 0;
+  for (AccelType t : kAllAccelTypes) {
+    SCOPED_TRACE(std::string(name_of(t)));
+    const auto space = baseline_space(t);
+    expect_golden(sage_select_matmul(mm.a, mm.b, cfg, e, space), matmul[i]);
+    expect_golden(sage_select_spmm_dense_b(mm.a, 600, cfg, e, space),
+                  dense_b[i]);
+    ++i;
+  }
 }
 
 // --- Baselines ---

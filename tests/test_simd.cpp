@@ -85,7 +85,9 @@ TEST(SimdKnob, OverrideBeatsDetection) {
   EXPECT_EQ(simd_override(), -1);
   // No override: env/detection decide; either way the predicate must be
   // false whenever the capability probe is.
-  if (!cpu_has_avx2()) EXPECT_FALSE(simd_enabled());
+  if (!cpu_has_avx2()) {
+    EXPECT_FALSE(simd_enabled());
+  }
 }
 
 TEST(SimdKnob, OverrideModeClamps) {

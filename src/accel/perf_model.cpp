@@ -42,13 +42,6 @@ void finalize(PerfResult& r, const AccelConfig& cfg, const EnergyParams& e,
       onchip_energy(e, cfg, r.performed_macs, r.streamed_elems, loaded, drained);
 }
 
-// Per-K-pass stream statistics of A under a compressed stream.
-struct PassStream {
-  std::int64_t cycles = 0;        // CSR packet count (row-break rule)
-  std::int64_t elems = 0;         // nonzeros streamed
-  std::int64_t rows_touched = 0;  // distinct rows
-};
-
 // One sweep over A's row-major entries. Columns ascend within a row, so a
 // row's entries in one K pass are one contiguous segment: one row run of
 // that pass's stream, at most kt long. Each segment divides once, not
@@ -95,12 +88,28 @@ StreamCost stream_cost(const CooMatrix& a, Format acf_a, const PassStream& ps,
 
 }  // namespace
 
-MatmulOperands::MatmulOperands(const CooMatrix& a_in, const CooMatrix& b)
-    : a(a_in), n(b.cols()), b_nnz(b.nnz()) {
-  MT_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
+PassStreams::PassStreams(const CooMatrix& a) : a_(a) {
   MT_REQUIRE(a.is_row_major_sorted(), "A must be row-major sorted COO");
-  a_col_nnz.assign(static_cast<std::size_t>(a.cols()), 0);
-  for (index_t c : a.col_ids()) ++a_col_nnz[static_cast<std::size_t>(c)];
+}
+
+const std::vector<PassStream>& PassStreams::at(index_t kt,
+                                               const AccelConfig& cfg) {
+  // Packets are counted at CSR's payload whatever the ACF: Dense and COO
+  // never read the count.
+  const index_t cap = payload_per_packet(Format::kCSR, cfg);
+  for (const auto& s : sweeps_) {
+    if (s.kt == kt && s.cap == cap) return s.passes;
+  }
+  sweeps_.push_back(
+      {kt, cap, stream_by_pass(a_, kt, ceil_div(a_.cols(), kt), cap)});
+  return sweeps_.back().passes;
+}
+
+MatmulOperands::MatmulOperands(const CooMatrix& a_in, const CooMatrix& b)
+    : a_streams(a_in), n(b.cols()), b_nnz(b.nnz()) {
+  MT_REQUIRE(a_in.cols() == b.rows(), "inner dimensions must agree");
+  a_col_nnz.assign(static_cast<std::size_t>(a_in.cols()), 0);
+  for (index_t c : a_in.col_ids()) ++a_col_nnz[static_cast<std::size_t>(c)];
 
   // One stable counting pass by column over a row-major B leaves the row
   // ids ascending within every column.
@@ -125,16 +134,17 @@ MatmulOperands::MatmulOperands(const CooMatrix& a_in, const CooMatrix& b)
 PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
                         Format acf_b, const AccelConfig& cfg,
                         const EnergyParams& energy) {
-  return model_matmul(MatmulOperands(a, b), acf_a, acf_b, cfg, energy);
+  MatmulOperands ops(a, b);
+  return model_matmul(ops, acf_a, acf_b, cfg, energy);
 }
 
-PerfResult model_matmul(const MatmulOperands& ops, Format acf_a, Format acf_b,
+PerfResult model_matmul(MatmulOperands& ops, Format acf_a, Format acf_b,
                         const AccelConfig& cfg, const EnergyParams& energy) {
   cfg.validate();
   MT_REQUIRE(is_stream_acf(acf_a), "A must use a streaming ACF");
   MT_REQUIRE(is_stationary_acf(acf_b), "B must use a stationary ACF");
 
-  const CooMatrix& a = ops.a;
+  const CooMatrix& a = ops.a_streams.a();
   const index_t k = a.cols();
   const index_t n = ops.n;
   const index_t slots = cfg.bus_slots();
@@ -160,7 +170,7 @@ PerfResult model_matmul(const MatmulOperands& ops, Format acf_a, Format acf_b,
   PerfResult res;
   res.n_tiles = ceil_div(n, cfg.num_pes);
   res.k_passes = ceil_div(k, kt);
-  const auto pass_stream = stream_by_pass(a, kt, res.k_passes, cap);
+  const auto& pass_stream = ops.a_streams.at(kt, cfg);
 
   // Per-pass load and match counts of B's nonzeros in the current tile,
   // refilled tile by tile from B's columns. Rows ascend within a column,
@@ -258,12 +268,19 @@ PerfResult model_matmul(const MatmulOperands& ops, Format acf_a, Format acf_b,
 PerfResult model_matmul_dense_b(const CooMatrix& a, index_t n, Format acf_a,
                                 Format acf_b, const AccelConfig& cfg,
                                 const EnergyParams& energy) {
+  PassStreams streams(a);
+  return model_matmul_dense_b(streams, n, acf_a, acf_b, cfg, energy);
+}
+
+PerfResult model_matmul_dense_b(PassStreams& streams, index_t n, Format acf_a,
+                                Format acf_b, const AccelConfig& cfg,
+                                const EnergyParams& energy) {
   cfg.validate();
   MT_REQUIRE(n > 0, "positive output width");
   MT_REQUIRE(is_stream_acf(acf_a), "A must use a streaming ACF");
   MT_REQUIRE(is_stationary_acf(acf_b), "B must use a stationary ACF");
-  MT_REQUIRE(a.is_row_major_sorted(), "A must be row-major sorted COO");
 
+  const CooMatrix& a = streams.a();
   const index_t k = a.cols();
   const index_t slots = cfg.bus_slots();
   const index_t buf = cfg.buffer_elems();
@@ -276,7 +293,7 @@ PerfResult model_matmul_dense_b(const CooMatrix& a, index_t n, Format acf_a,
   PerfResult res;
   res.n_tiles = ceil_div(n, cfg.num_pes);
   res.k_passes = ceil_div(k, kt);
-  const auto pass_stream = stream_by_pass(a, kt, res.k_passes, cap);
+  const auto& pass_stream = streams.at(kt, cfg);
 
   std::int64_t loaded_total = 0, drained_total = 0;
   for (index_t t = 0; t < res.n_tiles; ++t) {

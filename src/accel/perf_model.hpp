@@ -6,11 +6,12 @@
 // column, compute/stream overlap) but works on compressed operands and
 // tiles over N and K. Pricing one ACF pair is linear, with no sort: one
 // sweep over A for the per-pass stream stats, one over B's columns, plus
-// O(tiles x K passes) bookkeeping. The operand views (MatmulOperands)
-// cost one O(nnz + K + N) counting pass and are shared by every ACF pair
-// a search prices. tests/test_accel.cpp cross-checks the model
-// cycle-for-cycle against simulate_ws_matmul on single-tile instances;
-// tests/test_sage.cpp pins multi-tile, multi-pass results.
+// O(tiles x K passes) bookkeeping. The operand views (MatmulOperands,
+// PassStreams) cost one O(nnz + K + N) counting pass plus one A sweep per
+// K-pass height and are shared by every ACF pair a search prices.
+// tests/test_accel.cpp cross-checks the model cycle-for-cycle against
+// simulate_ws_matmul on single-tile instances; tests/test_sage.cpp pins
+// multi-tile, multi-pass results.
 #pragma once
 
 #include <vector>
@@ -47,16 +48,47 @@ PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
                         Format acf_b, const AccelConfig& cfg,
                         const EnergyParams& energy);
 
+// A's stream statistics in one K pass.
+struct PassStream {
+  std::int64_t cycles = 0;        // CSR packet count (row-break rule)
+  std::int64_t elems = 0;         // nonzeros streamed
+  std::int64_t rows_touched = 0;  // distinct rows
+};
+
+// A's per-K-pass stream sweep, kept per pass height. Every streaming ACF
+// reads the same sweep (only CSR reads the packet count), so a search
+// that prices all ACF pairs sweeps A once per distinct height instead of
+// once per pair. References A (row-major sorted; a temporary does not
+// compile) and is not thread-safe: one per search.
+class PassStreams {
+ public:
+  explicit PassStreams(const CooMatrix& a);
+  explicit PassStreams(CooMatrix&& a) = delete;
+
+  const CooMatrix& a() const { return a_; }
+  // Stream stats of each of the ceil(K / kt) passes of height kt; the
+  // reference stays valid until the next call.
+  const std::vector<PassStream>& at(index_t kt, const AccelConfig& cfg);
+
+ private:
+  struct Sweep {
+    index_t kt = 0;
+    index_t cap = 0;
+    std::vector<PassStream> passes;
+  };
+  const CooMatrix& a_;
+  std::vector<Sweep> sweeps_;
+};
+
 // What model_matmul reads of its operands, independent of the ACF pair:
-// A itself (row-major sorted; referenced, so it must outlive the view,
-// and a temporary A does not compile), A's nonzeros per K coordinate, and
-// B's row ids grouped by column (ascending within each column). B's entry
-// order does not matter.
+// A itself with its pass sweeps (see PassStreams; A must outlive the
+// view), A's nonzeros per K coordinate, and B's row ids grouped by column
+// (ascending within each column). B's entry order does not matter.
 struct MatmulOperands {
   MatmulOperands(const CooMatrix& a, const CooMatrix& b);
   MatmulOperands(CooMatrix&& a, const CooMatrix& b) = delete;
 
-  const CooMatrix& a;
+  PassStreams a_streams;
   index_t n = 0;                        // B's columns
   std::int64_t b_nnz = 0;
   std::vector<std::int64_t> a_col_nnz;  // K entries
@@ -66,7 +98,7 @@ struct MatmulOperands {
 
 // model_matmul on prebuilt operand views; bit-identical to the overload
 // above.
-PerfResult model_matmul(const MatmulOperands& ops, Format acf_a, Format acf_b,
+PerfResult model_matmul(MatmulOperands& ops, Format acf_a, Format acf_b,
                         const AccelConfig& cfg, const EnergyParams& energy);
 
 // SpMM fast path: B is a fully dense K x N matrix. Closed forms replace
@@ -74,6 +106,10 @@ PerfResult model_matmul(const MatmulOperands& ops, Format acf_a, Format acf_b,
 // speech1 SpMM scenario) never needs 20M COO entries materialized.
 // Matches model_matmul(a, dense_b_as_coo, ...) exactly (tested).
 PerfResult model_matmul_dense_b(const CooMatrix& a, index_t n, Format acf_a,
+                                Format acf_b, const AccelConfig& cfg,
+                                const EnergyParams& energy);
+// The same on A's shared pass sweeps; bit-identical to the overload above.
+PerfResult model_matmul_dense_b(PassStreams& a, index_t n, Format acf_a,
                                 Format acf_b, const AccelConfig& cfg,
                                 const EnergyParams& energy);
 

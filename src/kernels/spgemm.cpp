@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -51,9 +52,12 @@ CsrMatrix spgemm_csr_tiled(const CsrMatrix& a, const CsrMatrix& b,
   const index_t* b_ci = b.col_ids().data();
   const value_t* b_v = b.values().data();
 
-  // Contiguous row ranges per thread; each thread appends its rows to a
-  // private buffer and the buffers are stitched in row order below, so
-  // the assembled output does not depend on nt.
+  // Contiguous row ranges per thread, stitched in row order below, so
+  // the assembled output does not depend on nt. Each thread appends to
+  // output buffers declared inside the region and moves them into
+  // tcols/tvals once, after its last row: the vector headers in those
+  // shared arrays sit side by side, so appending through them would make
+  // every push_back write a cache line the other threads also write.
   std::vector<index_t> row_nnz(static_cast<std::size_t>(m), 0);
   std::vector<std::vector<index_t>> tcols(static_cast<std::size_t>(nt));
   std::vector<std::vector<value_t>> tvals(static_cast<std::size_t>(nt));
@@ -61,8 +65,8 @@ CsrMatrix spgemm_csr_tiled(const CsrMatrix& a, const CsrMatrix& b,
   for (int t = 0; t < nt; ++t) {
     const index_t r_lo = m * t / nt;
     const index_t r_hi = m * (t + 1) / nt;
-    auto& out_c = tcols[static_cast<std::size_t>(t)];
-    auto& out_v = tvals[static_cast<std::size_t>(t)];
+    std::vector<index_t> out_c;
+    std::vector<value_t> out_v;
     std::vector<value_t> acc(static_cast<std::size_t>(n), 0.0f);
     std::vector<std::uint64_t> occupied(static_cast<std::size_t>(nwords), 0);
     std::vector<index_t> cursor;
@@ -112,6 +116,8 @@ CsrMatrix spgemm_csr_tiled(const CsrMatrix& a, const CsrMatrix& b,
       row_nnz[static_cast<std::size_t>(r)] =
           static_cast<index_t>(out_c.size() - row_start);
     }
+    tcols[static_cast<std::size_t>(t)] = std::move(out_c);
+    tvals[static_cast<std::size_t>(t)] = std::move(out_v);
   }
 
   std::vector<index_t> row_ptr(static_cast<std::size_t>(m) + 1, 0);

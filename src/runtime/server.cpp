@@ -412,12 +412,10 @@ PlanKey Server::key_for(const Request& r, const ModelSnapshot& model) const {
 }
 
 PlanCache::PlanPtr Server::compute_plan(const Request& r, ServeStats& s,
-                                        const ModelSnapshot& model) {
+                                        const ModelSnapshot& model,
+                                        const PlanKey& key) {
   const AccelConfig& accel = model.accel;
   const EnergyParams& energy = model.energy;
-  // One key per computation: the routing decision, the cached entry, and
-  // the latency-accumulator label all see the same backend and model.
-  const PlanKey key = key_for(r, model);
   auto plan = std::make_shared<Plan>();
   plan->kernel = r.kernel;
   plan->backend = key.backend;
@@ -511,15 +509,17 @@ PlanCache::PlanPtr Server::resolve_plan(const Request& r, ServeStats& s) {
   // One snapshot per request: the key's fingerprint and the searched
   // model always agree, even when update_model() lands mid-request.
   const ModelSnapshot model = model_snapshot();
+  // One key per request: the routing decision, the cached entry, and the
+  // latency-accumulator label all see the same backend and model.
+  const PlanKey key = key_for(r, model);
   PlanCache::PlanPtr plan;
   if (!opts_.caches.use_plan_cache) {
     s.plan_cache_hit = false;
-    plan = compute_plan(r, s, model);
+    plan = compute_plan(r, s, model, key);
   } else {
-    const PlanKey key = key_for(r, model);
     bool hit = false;
     plan = plans_.get_or_compute(
-        key, [&] { return compute_plan(r, s, model); }, &hit);
+        key, [&] { return compute_plan(r, s, model, key); }, &hit);
     s.plan_cache_hit = hit;
     // Same evict race as in matrix_rep/tensor_rep: un-publish a plan
     // inserted for an operand that was concurrently evicted, or under a

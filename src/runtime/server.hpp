@@ -457,8 +457,10 @@ class Server {
   };
   ModelSnapshot model_snapshot() const;
   PlanCache::PlanPtr resolve_plan(const Request& r, ServeStats& s);
+  // `key` is key_for(r, model), built once by resolve_plan.
   PlanCache::PlanPtr compute_plan(const Request& r, ServeStats& s,
-                                  const ModelSnapshot& model);
+                                  const ModelSnapshot& model,
+                                  const PlanKey& key);
   // Which substrate serves `r`: kForce pins every request to the
   // configured backend; kAuto compares the host and device price
   // envelopes (flops estimate only — routing runs before any SAGE

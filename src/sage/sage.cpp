@@ -239,7 +239,7 @@ SageChoice sage_select_matmul(const CooMatrix& a, const CooMatrix& b,
   const auto bits_o =
       expected_matrix_storage(mcf_o, a.rows(), b.cols(), nnz_o, cfg.dtype)
           .total_bits();
-  const MatmulOperands ops(a, b);
+  MatmulOperands ops(a, b);
   return search_matmul(
       {a.rows(), a.cols(), a.nnz()}, {b.rows(), b.cols(), b.nnz()}, mcf_o,
       bits_o, cfg, energy, space, [&](Format acf_a, Format acf_b) {
@@ -259,11 +259,12 @@ SageChoice sage_select_spmm_dense_b(const CooMatrix& a, index_t n,
   // nonzero; store Dense (it is within a few metadata bits of optimal and
   // matches every MCFO the paper reports for SpMM).
   const std::int64_t bits_o = a.rows() * n * bits_of(cfg.dtype);
+  PassStreams streams(a);
   return search_matmul(
       {a.rows(), k, a.nnz()}, {k, n, k * n /* fully dense factor */},
       Format::kDense, bits_o, cfg, energy, space,
       [&](Format acf_a, Format acf_b) {
-        return model_matmul_dense_b(a, n, acf_a, acf_b, cfg, energy);
+        return model_matmul_dense_b(streams, n, acf_a, acf_b, cfg, energy);
       });
 }
 

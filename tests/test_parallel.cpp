@@ -10,6 +10,8 @@
 // tiers round differently from each other.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -202,18 +204,108 @@ TEST(Parallel, SpmmCsrCsc) {
   });
 }
 
+// SpGEMM splits A's rows into nt contiguous ranges and stitches the
+// per-thread buffers, so its cases run at several team widths — including
+// odd ones and more threads than rows — and compare row_ptr, col_ids and
+// the value bits against the 1-thread result.
+constexpr int kSpgemmThreads[] = {2, 3, 4, 7};
+
+void expect_same_bits(const CsrMatrix& s, const CsrMatrix& p) {
+  EXPECT_EQ(s.rows(), p.rows());
+  EXPECT_EQ(s.cols(), p.cols());
+  EXPECT_EQ(s.row_ptr(), p.row_ptr());
+  EXPECT_EQ(s.col_ids(), p.col_ids());
+  ASSERT_EQ(s.values().size(), p.values().size());
+  for (std::size_t i = 0; i < s.values().size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(s.values()[i]),
+              std::bit_cast<std::uint32_t>(p.values()[i]))
+        << "value " << i;
+  }
+}
+
+template <typename F>
+void expect_spgemm_thread_invariant(F&& f) {
+  set_num_threads(1);
+  const CsrMatrix serial = f();
+  for (const int nt : kSpgemmThreads) {
+    SCOPED_TRACE(::testing::Message() << nt << " threads");
+    set_num_threads(nt);
+    expect_same_bits(serial, f());
+  }
+  set_num_threads(0);
+}
+
+// A with an empty row just before and a dense row at every thread cut
+// m * t / nt of every tested width, so each range begins on a full row
+// and the previous one ends on a row that contributes no output.
+DenseMatrix rows_at_thread_cuts(index_t m, index_t k, std::uint64_t seed) {
+  auto d = mt::testing::random_dense(m, k, 0.15, seed);
+  for (const int nt : kSpgemmThreads) {
+    for (int t = 1; t < nt; ++t) {
+      const index_t cut = m * t / nt;
+      for (index_t c = 0; c < k; ++c) {
+        d.set(cut - 1, c, 0.0f);
+        d.set(cut, c, 0.5f + static_cast<value_t>(c % 7));
+      }
+    }
+  }
+  return d;
+}
+
 TEST(Parallel, SpgemmCsr) {
   const auto a = CsrMatrix::from_dense(mt::testing::random_dense(48, 64, 0.15, 31));
   const auto b = CsrMatrix::from_dense(mt::testing::random_dense(64, 56, 0.15, 32));
   run_tiers([&] {
-    auto [s, p] = serial_vs_parallel([&] { return spgemm_csr(a, b); });
-    ASSERT_EQ(s.nnz(), p.nnz());
-    for (std::size_t i = 0; i < s.row_ptr().size(); ++i) {
-      EXPECT_EQ(s.row_ptr()[i], p.row_ptr()[i]);
+    expect_spgemm_thread_invariant([&] { return spgemm_csr(a, b); });
+  });
+}
+
+TEST(Parallel, SpgemmCsrEmptyAndDenseRowsAtThreadCuts) {
+  const auto d = rows_at_thread_cuts(84, 40, 33);
+  const auto a = CsrMatrix::from_dense(d);
+  const auto b = CsrMatrix::from_dense(mt::testing::random_dense(40, 52, 0.2, 34));
+  // The construction must really leave the rows at the cuts empty and
+  // dense, or the case silently degrades to a plain random one.
+  for (const int nt : kSpgemmThreads) {
+    for (int t = 1; t < nt; ++t) {
+      const index_t cut = 84 * t / nt;
+      EXPECT_EQ(a.row_ptr()[cut], a.row_ptr()[cut - 1]) << "cut " << cut;
+      EXPECT_EQ(a.row_ptr()[cut + 1] - a.row_ptr()[cut], 40) << "cut " << cut;
     }
-    for (std::size_t i = 0; i < s.values().size(); ++i) {
-      EXPECT_EQ(s.col_ids()[i], p.col_ids()[i]);
-      EXPECT_EQ(s.values()[i], p.values()[i]);
+  }
+  run_tiers([&] {
+    expect_spgemm_thread_invariant([&] { return spgemm_csr(a, b); });
+  });
+}
+
+TEST(Parallel, SpgemmCsrMoreThreadsThanRows) {
+  const auto a = CsrMatrix::from_dense(mt::testing::random_dense(5, 30, 0.3, 35));
+  const auto b = CsrMatrix::from_dense(mt::testing::random_dense(30, 24, 0.3, 36));
+  run_tiers([&] {
+    expect_spgemm_thread_invariant([&] { return spgemm_csr(a, b); });
+  });
+}
+
+TEST(Parallel, SpgemmCsrAllEmptyB) {
+  const auto a = CsrMatrix::from_dense(mt::testing::random_dense(48, 64, 0.15, 37));
+  const auto b = CsrMatrix::from_dense(DenseMatrix(64, 56));
+  run_tiers([&] {
+    expect_spgemm_thread_invariant([&] {
+      const auto c = spgemm_csr(a, b);
+      EXPECT_EQ(c.nnz(), 0);
+      return c;
+    });
+  });
+}
+
+TEST(Parallel, SpgemmCsrMultiTile) {
+  const auto a = CsrMatrix::from_dense(rows_at_thread_cuts(84, 48, 38));
+  const auto b = CsrMatrix::from_dense(mt::testing::random_dense(48, 200, 0.15, 39));
+  run_tiers([&] {
+    for (const index_t tile : {7, 64, 130}) {
+      SCOPED_TRACE(::testing::Message() << "tile " << tile);
+      expect_spgemm_thread_invariant(
+          [&] { return spgemm_csr_tiled(a, b, tile); });
     }
   });
 }

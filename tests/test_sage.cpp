@@ -271,6 +271,9 @@ TEST(SageGolden, MatmulPerfOnEveryAcfPair) {
   for (const auto& c : cases) {
     const CooMatrix b_col_major = col_major(c.mm.b);
     ASSERT_FALSE(b_col_major.is_row_major_sorted());
+    // One view priced on every pair, as a search does: A's pass sweeps
+    // are shared across the pairs of each K-pass height.
+    MatmulOperands shared(c.mm.a, c.mm.b);
     std::size_t i = 0;
     for (Format fa : kStreamAcfs) {
       for (Format fb : kStationaryAcfs) {
@@ -278,6 +281,7 @@ TEST(SageGolden, MatmulPerfOnEveryAcfPair) {
         expect_golden(model_matmul(c.mm.a, c.mm.b, fa, fb, c.cfg, e), c.want[i]);
         expect_golden(model_matmul(c.mm.a, b_col_major, fa, fb, c.cfg, e),
                       c.want[i]);
+        expect_golden(model_matmul(shared, fa, fb, c.cfg, e), c.want[i]);
         ++i;
       }
     }
@@ -298,11 +302,14 @@ TEST(SageGolden, DenseBPerfOnEveryAcfPair) {
       {90, 600, 2400, 2400, 209, 2000, 2000, 600, 3, 5, 0.20000000000000001, 0.023156724712856614, 1.025e-07},
       {180, 600, 2400, 2400, 302, 2000, 2000, 600, 3, 10, 0.20000000000000001, 0.021686328938237336, 1.2631999999999998e-07},
   };
+  PassStreams shared(a);
   std::size_t i = 0;
   for (Format fa : kStreamAcfs) {
     for (Format fb : kStationaryAcfs) {
       SCOPED_TRACE(std::string(name_of(fa)) + "/" + std::string(name_of(fb)));
-      expect_golden(model_matmul_dense_b(a, 10, fa, fb, cfg, e), want[i++]);
+      expect_golden(model_matmul_dense_b(a, 10, fa, fb, cfg, e), want[i]);
+      expect_golden(model_matmul_dense_b(shared, 10, fa, fb, cfg, e), want[i]);
+      ++i;
     }
   }
 }

@@ -103,10 +103,6 @@ struct Config {
   // blocking offload, 1 serving worker either way.
   int device_ring_workers = 4;
   int device_requests = 300;  // per client
-  // Ring submission phase: direct DeviceRing microbench, batched
-  // submit_all vs one submit() per job over drained windows.
-  int ring_submit_windows = 2000;
-  int ring_submit_window_size = 16;
 };
 
 struct Operands {
@@ -634,61 +630,6 @@ BatchModeResult run_device_mode(const Config& cfg, bool async) {
   return r;
 }
 
-// --- Ring submission-amortization phase ---
-
-// Direct DeviceRing microbench isolating what submit_all buys over
-// per-job submit on the pure admission path: a mint ring with latency
-// simulation *off* (each device job is just the SpMV itself), fed
-// drained windows of ring_submit_window_size SpMV jobs — either one
-// submit() per job (one lock acquisition and one wakeup each) or one
-// submit_all() per window (one lock session for the whole window) —
-// then claimed in order. Returns jobs per second.
-double run_ring_submit_mode(const Config& cfg, bool use_submit_all) {
-  const auto mint = exec::make_backend(exec::BackendKind::kMint);
-  exec::DeviceRing ring(*mint,
-                        {.slots = static_cast<std::size_t>(
-                             cfg.ring_submit_window_size),
-                         .workers = 2});
-  // A tiny operand keeps per-job device work in the microsecond range,
-  // so submission overhead is a visible fraction of the total.
-  const index_t n = 64;
-  const auto a = convert(
-      AnyMatrix(synth_coo_matrix(
-          n, n, static_cast<std::int64_t>(0.05 * static_cast<double>(n * n)),
-          73)),
-      Format::kCSR);
-  std::vector<value_t> x(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = 0.125f * static_cast<float>(i % 11) - 0.5f;
-  }
-  exec::Job proto;
-  proto.kernel = Kernel::kSpMV;
-  proto.a = &a;
-  proto.vec = &x;
-
-  const int window = cfg.ring_submit_window_size;
-  const auto t0 = now_ns();
-  for (int w = 0; w < cfg.ring_submit_windows; ++w) {
-    if (use_submit_all) {
-      std::vector<exec::Job> jobs(static_cast<std::size_t>(window), proto);
-      const auto tickets = ring.submit_all(std::move(jobs));
-      for (auto t : tickets) (void)ring.wait(t);
-    } else {
-      std::vector<exec::DeviceRing::Ticket> tickets;
-      tickets.reserve(static_cast<std::size_t>(window));
-      for (int i = 0; i < window; ++i) {
-        tickets.push_back(ring.submit(proto));
-      }
-      for (auto t : tickets) (void)ring.wait(t);
-    }
-  }
-  const double secs = static_cast<double>(now_ns() - t0) / 1e9;
-  ring.stop();
-  const auto total =
-      static_cast<double>(cfg.ring_submit_windows) * window;
-  return secs > 0.0 ? total / secs : 0.0;
-}
-
 void print_batch_mode(const char* name, const BatchModeResult& r) {
   std::printf(
       "%-9s  %10.0f req/s   p50 %8.1f us  p95 %8.1f us  p99 %8.1f us\n"
@@ -733,9 +674,7 @@ void write_json(const Config& cfg, const ModeResult& cached,
                 const BatchModeResult& unsharded, double shard_speedup,
                 const BatchModeResult& obs_on, const BatchModeResult& obs_off,
                 double obs_ratio, const BatchModeResult& dev_async,
-                const BatchModeResult& dev_blocking, double device_ratio,
-                double ring_submit_all_jps, double ring_per_job_jps,
-                double ring_submit_ratio) {
+                const BatchModeResult& dev_blocking, double device_ratio) {
   std::ofstream os(cfg.out);
   auto quantiles = [&](const char* prefix, const Quantiles& q) {
     os << "    \"" << prefix << "p50_us\": " << q.p50_us << ",\n"
@@ -785,10 +724,7 @@ void write_json(const Config& cfg, const ModeResult& cached,
      << "  \"device_ring_workers\": " << cfg.device_ring_workers << ",\n"
      << "  \"device_ring_peak_in_flight\": " << dev_async.ring_peak_in_flight
      << ",\n"
-     << "  \"device_inflight_over_blocking\": " << device_ratio << ",\n"
-     << "  \"ring_submit_all_jobs_per_s\": " << ring_submit_all_jps << ",\n"
-     << "  \"ring_per_job_jobs_per_s\": " << ring_per_job_jps << ",\n"
-     << "  \"ring_submit_all_over_per_job\": " << ring_submit_ratio << ",\n";
+     << "  \"device_inflight_over_blocking\": " << device_ratio << ",\n";
   mode("cached", cached, false);
   mode("bypass", bypass, false);
   batch_mode("batched", batched, false);
@@ -840,7 +776,6 @@ int main(int argc, char** argv) {
     cfg.spmv_requests = 400;
     cfg.shard_requests = 300;
     cfg.device_requests = 120;
-    cfg.ring_submit_windows = 300;
   }
 
   mt::bench::banner("Serving runtime: cached vs no-cache repeated traffic");
@@ -950,26 +885,9 @@ int main(int argc, char** argv) {
       device_ratio >= 1.2 ? "(meets the >=1.2x acceptance bar)"
                           : "(below the 1.2x bar)");
 
-  // Ring submission phase: the direct-ring microbench behind the device
-  // path's one-submit_all-per-window policy. Info-only in CI (bar 1.0):
-  // on an idle ring the win is lock/wakeup amortization, small by design.
-  mt::bench::subhead("ring submission (direct DeviceRing, mint offload)");
-  std::printf("%d windows x %d SpMV jobs, submit_all vs per-job submit\n",
-              cfg.ring_submit_windows, cfg.ring_submit_window_size);
-  const double ring_submit_all_jps =
-      run_ring_submit_mode(cfg, /*use_submit_all=*/true);
-  const double ring_per_job_jps =
-      run_ring_submit_mode(cfg, /*use_submit_all=*/false);
-  const double ring_submit_ratio =
-      ring_per_job_jps > 0.0 ? ring_submit_all_jps / ring_per_job_jps : 0.0;
-  std::printf("submit_all %10.0f jobs/s   per-job %10.0f jobs/s   "
-              "ratio %.3fx\n",
-              ring_submit_all_jps, ring_per_job_jps, ring_submit_ratio);
-
   write_json(cfg, cached, bypass, open_rate, speedup, batched, unbatched,
              batch_speedup, sharded, unsharded, shard_speedup, obs_on,
-             obs_off, obs_ratio, dev_async, dev_blocking, device_ratio,
-             ring_submit_all_jps, ring_per_job_jps, ring_submit_ratio);
+             obs_off, obs_ratio, dev_async, dev_blocking, device_ratio);
   std::printf("wrote %s\n", cfg.out.c_str());
   return 0;
 }

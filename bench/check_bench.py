@@ -143,19 +143,6 @@ def main() -> int:
         ok &= gate(metric, float(fresh_serve[metric]),
                    float(base_serve[metric]), bar, args.tolerance)
 
-    # Info-only ratios: printed for the record, never gated. The
-    # submit_all microbench measures lock/wakeup amortization on an idle
-    # direct ring — a small, scheduler-sensitive win (bar 1.0 when
-    # recorded: batched admission must not cost throughput); gating it
-    # would turn scheduler noise into CI failures.
-    print("perf-gate: serve info ratios (info only, not gated)")
-    for metric in ("ring_submit_all_over_per_job",):
-        value = fresh_serve.get(metric)
-        if value is None:
-            print(f"  info {metric}: absent (pre-feature bench)")
-        else:
-            print(f"  info {metric}: {float(value):.3f}x")
-
     print("perf-gate: serve latency quantiles (info only, not gated)")
     for mode, field in SERVE_INFO_QUANTILES:
         value = fresh_serve.get(mode, {}).get(field)

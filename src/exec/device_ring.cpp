@@ -47,37 +47,6 @@ DeviceRing::Ticket DeviceRing::submit(Job job) {
   return t;
 }
 
-std::vector<DeviceRing::Ticket> DeviceRing::submit_all(
-    std::vector<Job> jobs) {
-  std::vector<Ticket> out(jobs.size(), kInvalidTicket);
-  bool queued_any = false;
-  {
-    UniqueLock lk(mu_);
-    std::size_t i = 0;
-    while (i < jobs.size()) {
-      while (!stopping_ && queue_.size() >= slots_) {
-        // Admitted descriptors may not have been announced yet (the batch
-        // notify happens after unlock): wake the device workers so they
-        // can drain the queue and open slots for the rest of the window.
-        if (!queue_.empty()) work_.notify_all();
-        space_.wait(lk);
-      }
-      if (stopping_) break;  // the rest of the window stays kInvalidTicket
-      while (i < jobs.size() && queue_.size() < slots_) {
-        out[i] = next_ticket_++;
-        queue_.emplace_back(out[i], std::move(jobs[i]));
-        ++i;
-        queued_any = true;
-      }
-      const auto in_flight =
-          static_cast<std::int64_t>(queue_.size()) + active_;
-      peak_in_flight_ = std::max(peak_in_flight_, in_flight);
-    }
-  }
-  if (queued_any) work_.notify_all();
-  return out;
-}
-
 void DeviceRing::worker_loop() {
   for (;;) {
     Ticket t = kInvalidTicket;

@@ -74,17 +74,6 @@ class DeviceRing {
   // stopped before space opened up (the job is not accepted).
   Ticket submit(Job job) MT_EXCLUDES(mu_);
 
-  // Batched submit: posts a drained batch window of jobs while taking the
-  // ring lock once per admitted run instead of once per job. Tickets come
-  // back in order (out[i] is jobs[i]'s ticket) and obey the same slot
-  // backpressure as submit(): when the descriptor queue is full the call
-  // sleeps until device workers free slots, then admits as many more jobs
-  // as fit. Executing and unclaimed-completed jobs still don't count
-  // against the bound, so submit-all-then-claim-all cannot deadlock. If
-  // the ring stops mid-call, every not-yet-admitted job's slot holds
-  // kInvalidTicket (those jobs are not accepted).
-  std::vector<Ticket> submit_all(std::vector<Job> jobs) MT_EXCLUDES(mu_);
-
   // Non-blocking claim: true + moves the result out when ticket `t` has
   // completed; false while it is still in flight. Throws
   // std::invalid_argument for a ticket never issued or already claimed,

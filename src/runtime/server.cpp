@@ -13,50 +13,6 @@
 
 namespace mt::runtime {
 
-// normalized() is the one place the deprecated flat aliases are still
-// read — by design, so the fold-in itself compiles warning-free.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-ServerOptions::ServerOptions() = default;
-ServerOptions::ServerOptions(const ServerOptions&) = default;
-ServerOptions::ServerOptions(ServerOptions&&) = default;
-ServerOptions& ServerOptions::operator=(const ServerOptions&) = default;
-ServerOptions& ServerOptions::operator=(ServerOptions&&) = default;
-ServerOptions::~ServerOptions() = default;
-
-ServerOptions ServerOptions::normalized() const {
-  ServerOptions n = *this;
-  const ServerOptions defaults;
-  // An alias left at its default is treated as unset (group field wins);
-  // a changed alias overrides the group. Group and alias defaults are
-  // identical, so explicitly re-setting an alias to the default is a
-  // no-op either way.
-  if (use_plan_cache != defaults.use_plan_cache) {
-    n.caches.use_plan_cache = use_plan_cache;
-  }
-  if (use_conversion_cache != defaults.use_conversion_cache) {
-    n.caches.use_conversion_cache = use_conversion_cache;
-  }
-  if (!(plan_cache_limits == defaults.plan_cache_limits)) {
-    n.caches.plan_limits = plan_cache_limits;
-  }
-  if (!(conversion_cache_limits == defaults.conversion_cache_limits)) {
-    n.caches.conversion_limits = conversion_cache_limits;
-  }
-  if (batching != defaults.batching) n.batch.policy = batching;
-  if (batch_window != defaults.batch_window) n.batch.window = batch_window;
-  if (use_arena != defaults.use_arena) n.arena.enabled = use_arena;
-  if (arena_max_cached_bytes != defaults.arena_max_cached_bytes) {
-    n.arena.max_cached_bytes = arena_max_cached_bytes;
-  }
-  return n;
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 namespace {
 
 // Repair a SAGE (ACFa, ACFb) pair to the nearest pair the exec engine runs
@@ -78,6 +34,13 @@ void repair_pair(Format& ra, Format& rb) {
 
 Format repair_single(Kernel k, Format acf) {
   return exec::has_native(k, acf) ? acf : exec::fallback_format(k);
+}
+
+// Whether a host SpMV planned onto `acf` runs as its width-1 SpMM twin,
+// the kernel its fused group launches (so its bits never depend on
+// batch timing).
+bool spmv_runs_as_spmm(Format acf) {
+  return coalescible_spmv_format(acf) && exec::has_native(Kernel::kSpMM, acf);
 }
 
 // Plan-fingerprint label for the per-plan latency accumulators
@@ -152,7 +115,7 @@ class ThreadCapRegistry {
 }  // namespace
 
 Server::Server(ServerOptions opts)
-    : opts_(opts.normalized()),
+    : opts_(std::move(opts)),
       accel_(opts_.accel),
       energy_(opts_.energy),
       fingerprint_(plan_fingerprint(opts_.accel, opts_.energy)),
@@ -384,10 +347,11 @@ exec::BackendKind Server::route_backend(const Request& r,
                              : exec::BackendKind::kCpu;
 }
 
-PlanKey Server::key_for(const Request& r, const ModelSnapshot& model) const {
+PlanKey Server::key_for(const Request& r, exec::BackendKind route,
+                        const ModelSnapshot& model) const {
   PlanKey k;
   k.kernel = r.kernel;
-  k.backend = route_backend(r, model);
+  k.backend = route;
   // CPU-backend plans are model-independent (CpuBackend::price never
   // reads the device AccelConfig/EnergyParams), so they key on the
   // kHostModel sentinel: a device-model swap retires none of them.
@@ -504,14 +468,13 @@ PlanCache::PlanPtr Server::compute_plan(const Request& r, ServeStats& s,
   return plan;
 }
 
-PlanCache::PlanPtr Server::resolve_plan(const Request& r, ServeStats& s) {
+PlanCache::PlanPtr Server::resolve_plan(const Request& r, ServeStats& s,
+                                        const ModelSnapshot& model,
+                                        exec::BackendKind route) {
   const auto t0 = now_ns();
-  // One snapshot per request: the key's fingerprint and the searched
-  // model always agree, even when update_model() lands mid-request.
-  const ModelSnapshot model = model_snapshot();
   // One key per request: the routing decision, the cached entry, and the
   // latency-accumulator label all see the same backend and model.
-  const PlanKey key = key_for(r, model);
+  const PlanKey key = key_for(r, route, model);
   PlanCache::PlanPtr plan;
   if (!opts_.caches.use_plan_cache) {
     s.plan_cache_hit = false;
@@ -546,7 +509,8 @@ PlanCache::PlanPtr Server::resolve_plan(const Request& r, ServeStats& s) {
 
 PlanCache::PlanPtr Server::plan_for(const Request& r) {
   ServeStats scratch;
-  return resolve_plan(r, scratch);
+  const ModelSnapshot model = model_snapshot();
+  return resolve_plan(r, scratch, model, route_backend(r, model));
 }
 
 // --- Serving ---
@@ -568,114 +532,6 @@ std::future<Response> Server::submit(Request r) {
         std::runtime_error("server is stopped; request rejected")));
   }
   return fut;
-}
-
-Response Server::serve(Request& req, std::int64_t queue_wait_ns) {
-  Response resp;
-  resp.stats.queue_wait_ns = queue_wait_ns;
-  resp.stats.trace_id = req.trace_id;
-  const auto plan = resolve_plan(req, resp.stats);
-  execute_plan(req, plan, resp);
-  return resp;
-}
-
-// Conversion + kernel execution under an already-resolved plan; fills
-// resp.result and the convert/exec sections of resp.stats. The blocking
-// path: one Backend::run on the calling worker (the async path is
-// serve_window_async).
-void Server::execute_plan(Request& req, const PlanCache::PlanPtr& plan,
-                          Response& resp) {
-  ServeStats& s = resp.stats;
-  const auto t_conv = now_ns();
-  ConversionCache::MatrixPtr rep_a, rep_b;
-  ConversionCache::TensorPtr rep_x;
-  if (is_tensor_kernel(req.kernel)) {
-    rep_x = tensor_rep(req.x, plan->run_a, s);
-  } else {
-    rep_a = matrix_rep(req.a, plan->run_a, s);
-    if (req.b.valid()) rep_b = matrix_rep(req.b, plan->run_b, s);
-  }
-  s.convert_ns = now_ns() - t_conv;
-
-  const bool on_device =
-      device_backend_ != nullptr && plan->backend != exec::BackendKind::kCpu;
-  JobBundle jb;
-  fill_job(jb, req, *plan, rep_a.get(), rep_b.get(), rep_x.get(), on_device);
-  // The snapshot must outlive run(): SimBackend reads the config while
-  // executing, and a concurrent update_model() may swap the live one.
-  const ModelSnapshot model = model_snapshot();
-  jb.job.accel = &model.accel;
-  jb.job.energy = &model.energy;
-
-  const auto t_exec = now_ns();
-  exec::JobResult jr =
-      on_device ? device_backend_->run(jb.job) : cpu_backend_->run(jb.job);
-  if (on_device && opts_.backend.dual_run) dual_run_check(jb.job, jr);
-  s.dispatch = jr.dispatch;
-  s.device_ns = jr.device_ns;
-  if (jb.unstack) {
-    resp.result = exec::column_of(std::get<DenseMatrix>(jr.output), 0);
-  } else {
-    resp.result = std::move(jr.output);
-  }
-  s.exec_ns = now_ns() - t_exec;
-  if (plan->latency != nullptr) plan->latency->record(s.exec_ns);
-  if (auto* h = exec_hist(s.dispatch)) h->record(s.exec_ns);
-}
-
-void Server::fill_job(JobBundle& jb, const Request& req, const Plan& plan,
-                      const AnyMatrix* rep_a, const AnyMatrix* rep_b,
-                      const AnyTensor* rep_x, bool device) const {
-  exec::Job& job = jb.job;
-  job.kernel = req.kernel;
-  job.alloc = dense_alloc();
-  job.modeled_ns = plan.modeled_device_ns;
-  switch (req.kernel) {
-    case Kernel::kSpMV:
-      if (!device && coalescible_spmv_format(plan.run_a) &&
-          exec::has_native(Kernel::kSpMM, plan.run_a)) {
-        // CPU backend only: coalescible plans serve through the SpMM twin
-        // as a width-1 column stack — exactly the coalesced path with one
-        // member — so response bits never depend on batch timing, in
-        // every kernel tier. (The SIMD SpMV row kernel reduces 8 lanes in
-        // a tree and would otherwise round differently from the twin.)
-        // Device backends take the SpMV job as-is: fusion is disabled on
-        // the device path, so there is no batch-timing bit contract to
-        // keep, and the sim lowers SpMV to a k x 1 matmul anyway.
-        jb.staged_b = exec::stack_columns({&req.vec}, job.alloc);
-        jb.unstack = true;
-        job.kernel = Kernel::kSpMM;
-        job.a = rep_a;
-        job.dense_b = &jb.staged_b;
-      } else {
-        job.a = rep_a;
-        job.vec = &req.vec;
-      }
-      break;
-    case Kernel::kGemm:
-    case Kernel::kSpMM:
-      job.a = rep_a;
-      if (rep_b != nullptr) {
-        job.b = rep_b;
-      } else {
-        job.dense_b = &req.dense_b;
-      }
-      break;
-    case Kernel::kSpGEMM:
-      MT_REQUIRE(rep_b != nullptr, "SpGEMM needs two registered operands");
-      job.a = rep_a;
-      job.b = rep_b;
-      break;
-    case Kernel::kSpTTM:
-      job.x = rep_x;
-      job.dense_b = &req.dense_b;
-      break;
-    case Kernel::kMTTKRP:
-      job.x = rep_x;
-      job.dense_b = &req.dense_b;
-      job.dense_c = &req.dense_c;
-      break;
-  }
 }
 
 void Server::dual_run_check(const exec::Job& job,
@@ -720,7 +576,7 @@ std::int64_t Server::flops_for(const Request& r) const {
   return 0;
 }
 
-// --- Batched serving (runtime/batcher.hpp) ---
+// --- The serving pipeline: group -> dispatch -> complete ---
 
 void Server::worker_loop() {
   std::vector<Item> window;
@@ -738,223 +594,312 @@ void Server::worker_loop() {
 }
 
 void Server::serve_window(std::vector<Item>& window) {
-  if (device_backend_ != nullptr) {
-    // Device-capable path: plans route per request (kForce sends every
-    // request to the device, kAuto splits by priced envelope), grouping
-    // keys on the routed backend so no group crosses a substrate, and
-    // ring-routed jobs submit as one batch.
-    serve_window_device(window);
-    return;
-  }
-  if (window.size() == 1) {
-    serve_one(window.front());
-    return;
-  }
-  std::vector<BatchItem> meta;
-  meta.reserve(window.size());
-  for (const auto& it : window) meta.push_back(batch_item_for(it.req));
-  for (const auto& group : form_batches(meta)) {
-    if (group.fused && group.members.size() > 1) {
-      serve_fused(window, group.members);
-    } else {
-      for (const auto i : group.members) serve_one(window[i]);
-    }
-  }
-}
-
-void Server::serve_one(Item& item) {
-  const auto start = now_ns();
-  try {
-    // Queue wait runs until this request's group actually starts, so time
-    // spent parked behind earlier groups of the same drained window is
-    // charged to latency, not hidden.
-    Response resp = serve(item.req, start - item.enqueue_ns);
-    if (queue_wait_hist_ != nullptr) {
-      queue_wait_hist_->record(resp.stats.queue_wait_ns);
-    }
-    record_trace(item.enqueue_ns, start, resp.stats);
-    counters_.record(resp.stats);
-    item.promise.set_value(std::move(resp));
-  } catch (...) {
-    counters_.record_failure();
-    item.promise.set_exception(std::current_exception());
-  }
-}
-
-void Server::serve_window_device(std::vector<Item>& window) {
-  // Per-request serving state. `pending` is sized once up front, so the
-  // submitted jobs' operand/model pointers (which point into their
-  // Pending) stay stable for the whole window.
-  struct Pending {
-    Item* item = nullptr;
-    ServeStats stats;
-    PlanCache::PlanPtr plan;
-    ConversionCache::MatrixPtr rep_a, rep_b;
-    ConversionCache::TensorPtr rep_x;
-    JobBundle bundle;
-    ModelSnapshot model;
-    exec::DeviceRing::Ticket ticket = exec::DeviceRing::kInvalidTicket;
-    std::int64_t start_ns = 0;
-    bool failed = false;  // promise already completed with an exception
-    bool on_ring = false;
-  };
-  std::vector<Pending> pending(window.size());
-
-  const auto fail = [this](Pending& p) {
-    counters_.record_failure();
-    p.item->promise.set_exception(std::current_exception());
-    p.failed = true;
+  // One snapshot per window: every member's route and plan key read the
+  // same model, and submitted jobs point into it until they are claimed.
+  const ModelSnapshot model = model_snapshot();
+  // Sized once, so a submitted job's pointers into its Slot stay stable.
+  std::vector<Slot> slots(window.size());
+  const auto drop = [&](std::size_t i) {
+    fail(window[i], std::current_exception());
+    slots[i].done = true;
   };
 
-  // Phase 1 — resolve every request's plan; the plan's backend is the
-  // request's route. Queue wait ends here for every member of the window.
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    Pending& p = pending[i];
-    p.item = &window[i];
-    p.start_ns = now_ns();
-    p.stats.queue_wait_ns = p.start_ns - window[i].enqueue_ns;
-    p.stats.trace_id = window[i].req.trace_id;
-    try {
-      p.plan = resolve_plan(window[i].req, p.stats);
-    } catch (...) {
-      fail(p);
-    }
-  }
-
-  // Phase 2 — group with the backend-aware fuse key. Device-routed
-  // requests never fuse (fusion's gather/scatter twin is a host-kernel
-  // bit contract), so they land in singleton groups; CPU-routed requests
-  // keep the full coalescing behavior of the CPU-only path. Failed
-  // requests keep their default (unfusible) meta and are skipped below.
+  // Group. Device-routed requests never fuse (the fused gather/scatter
+  // twin is a host-kernel bit contract), and the routed backend is part
+  // of the fuse key, so no group crosses a substrate. A request that
+  // fails to route keeps its default, unfusible meta.
   std::vector<BatchItem> meta(window.size());
   for (std::size_t i = 0; i < window.size(); ++i) {
-    const Pending& p = pending[i];
-    if (p.failed) continue;
+    try {
+      slots[i].route = route_backend(window[i].req, model);
+    } catch (...) {
+      drop(i);
+      continue;
+    }
     meta[i] = batch_item_for(window[i].req);
-    meta[i].backend = p.plan->backend;
-    if (meta[i].backend != exec::BackendKind::kCpu) meta[i].fusible = false;
+    meta[i].backend = slots[i].route;
+    if (slots[i].route != exec::BackendKind::kCpu) meta[i].fusible = false;
   }
   const auto groups = form_batches(meta);
 
-  // Phase 3 — prepare every ring-routed job and submit the lot as ONE
-  // batched ring submission (the queue lock is taken per drained window,
-  // not per job). All submits happen before any claim or CPU-group
-  // execution, so one worker keeps up to window-size device jobs in
-  // flight; the ring counts only queued descriptors against its slot
-  // bound, so submit-all-then-claim-all can never deadlock.
+  // Dispatch. Every ring-routed job is submitted before anything is
+  // claimed or run on this worker, so one worker keeps up to a window of
+  // device jobs in flight; the ring bounds only queued descriptors, so
+  // submit-all-then-claim-all cannot deadlock.
   if (ring_ != nullptr) {
-    std::vector<std::size_t> ring_members;
-    std::vector<exec::Job> jobs;
-    ring_members.reserve(window.size());
-    jobs.reserve(window.size());
     for (std::size_t i = 0; i < window.size(); ++i) {
-      Pending& p = pending[i];
-      if (p.failed || p.plan->backend == exec::BackendKind::kCpu) continue;
+      Slot& slot = slots[i];
+      if (slot.done || slot.route == exec::BackendKind::kCpu) continue;
       try {
-        Item& item = window[i];
-        const auto t_conv = now_ns();
-        if (is_tensor_kernel(item.req.kernel)) {
-          p.rep_x = tensor_rep(item.req.x, p.plan->run_a, p.stats);
-        } else {
-          p.rep_a = matrix_rep(item.req.a, p.plan->run_a, p.stats);
-          if (item.req.b.valid()) {
-            p.rep_b = matrix_rep(item.req.b, p.plan->run_b, p.stats);
-          }
+        begin(window[i], slot, model);
+        stage_job(window[i].req, slot, model);
+        slot.ticket = ring_->submit(slot.job);
+        if (slot.ticket == exec::DeviceRing::kInvalidTicket) {
+          throw std::runtime_error(
+              "server is stopping; device ring rejected the job");
         }
-        p.stats.convert_ns = now_ns() - t_conv;
-        p.model = model_snapshot();
-        fill_job(p.bundle, item.req, *p.plan, p.rep_a.get(), p.rep_b.get(),
-                 p.rep_x.get(), /*device=*/true);
-        p.bundle.job.accel = &p.model.accel;
-        p.bundle.job.energy = &p.model.energy;
-        p.on_ring = true;
-        ring_members.push_back(i);
-        jobs.push_back(p.bundle.job);
       } catch (...) {
-        fail(p);
+        drop(i);
       }
-    }
-    const auto tickets = ring_->submit_all(std::move(jobs));
-    for (std::size_t j = 0; j < ring_members.size(); ++j) {
-      pending[ring_members[j]].ticket = tickets[j];
     }
   }
 
-  // Phase 4 — complete groups in first-arrival order, which preserves
-  // per-handle FIFO completion across the CPU/device split. Ring tickets
-  // are claimed in submission order; CPU groups execute on this worker
-  // while the device side is still chewing. Operands (reps, request
-  // payloads, model snapshots) stay alive in `pending`/`window` until
-  // each ticket is claimed — the ring's lifetime contract.
-  const auto claim_ring = [&](Pending& p) {
-    try {
-      if (p.ticket == exec::DeviceRing::kInvalidTicket) {
-        throw std::runtime_error(
-            "server is stopping; device ring rejected the job");
-      }
-      const auto t_wait = now_ns();
-      exec::JobResult jr = ring_->wait(p.ticket);
-      p.stats.device_wait_ns = now_ns() - t_wait;
-      if (opts_.backend.dual_run) dual_run_check(p.bundle.job, jr);
-      Response resp;
-      resp.stats = p.stats;
-      ServeStats& s = resp.stats;
-      s.dispatch = jr.dispatch;
-      s.device_ns = jr.device_ns;
-      s.exec_ns = jr.run_ns;  // device-side wall time of this job
-      resp.result = std::move(jr.output);
-      if (p.plan->latency != nullptr) p.plan->latency->record(s.exec_ns);
-      if (auto* h = exec_hist(s.dispatch)) h->record(s.exec_ns);
-      if (queue_wait_hist_ != nullptr) {
-        queue_wait_hist_->record(s.queue_wait_ns);
-      }
-      record_trace(p.item->enqueue_ns, p.start_ns, s);
-      counters_.record(s);
-      p.item->promise.set_value(std::move(resp));
-    } catch (...) {
-      fail(p);
-    }
-  };
-  // Blocking completion for CPU-routed singles and (no ring) device jobs:
-  // execute under the phase-1 plan on this worker, keeping the phase-1
-  // stats (queue wait, plan time).
-  const auto finish_blocking = [&](Pending& p) {
-    try {
-      Response resp;
-      resp.stats = p.stats;
-      execute_plan(p.item->req, p.plan, resp);
-      if (queue_wait_hist_ != nullptr) {
-        queue_wait_hist_->record(resp.stats.queue_wait_ns);
-      }
-      record_trace(p.item->enqueue_ns, p.start_ns, resp.stats);
-      counters_.record(resp.stats);
-      p.item->promise.set_value(std::move(resp));
-    } catch (...) {
-      fail(p);
-    }
-  };
+  // Complete, in first-arrival group order: that keeps per-handle FIFO
+  // completion across the host/device split. Host work runs here while
+  // submitted jobs are still on the device. A fused group only ever holds
+  // host-routed requests that routed without error.
   for (const auto& group : groups) {
-    std::vector<std::size_t> live;
-    live.reserve(group.members.size());
-    for (const auto i : group.members) {
-      if (!pending[i].failed) live.push_back(i);
-    }
-    if (live.empty()) continue;
-    Pending& lead = pending[live.front()];
-    if (group.fused && live.size() > 1 &&
-        lead.plan->backend == exec::BackendKind::kCpu) {
-      serve_fused_exec(window, live, lead.plan, lead.stats, lead.start_ns);
+    if (group.fused && group.members.size() > 1) {
+      run_fused(window, slots, group.members, model);
       continue;
     }
-    for (const auto i : live) {
-      Pending& p = pending[i];
-      if (p.on_ring) {
-        claim_ring(p);
-      } else {
-        finish_blocking(p);
-      }
+    for (const auto i : group.members) {
+      if (!slots[i].done) run_request(window[i], slots[i], model);
     }
   }
+}
+
+void Server::begin(Item& item, Slot& slot, const ModelSnapshot& model) {
+  slot.start_ns = now_ns();
+  ServeStats& s = slot.resp.stats;
+  s.queue_wait_ns = slot.start_ns - item.enqueue_ns;
+  s.trace_id = item.req.trace_id;
+  slot.plan = resolve_plan(item.req, s, model, slot.route);
+}
+
+void Server::stage_job(const Request& req, Slot& slot,
+                       const ModelSnapshot& model) {
+  const Plan& plan = *slot.plan;
+  ServeStats& s = slot.resp.stats;
+  const auto t_conv = now_ns();
+  if (is_tensor_kernel(req.kernel)) {
+    slot.rep_x = tensor_rep(req.x, plan.run_a, s);
+  } else {
+    slot.rep_a = matrix_rep(req.a, plan.run_a, s);
+    if (req.b.valid()) slot.rep_b = matrix_rep(req.b, plan.run_b, s);
+  }
+  s.convert_ns = now_ns() - t_conv;
+
+  exec::Job& job = slot.job;
+  job.kernel = req.kernel;
+  job.alloc = dense_alloc();
+  job.modeled_ns = plan.modeled_device_ns;
+  // SimBackend reads the config while it runs; the window's snapshot
+  // outlives every job of the window.
+  job.accel = &model.accel;
+  job.energy = &model.energy;
+  job.a = slot.rep_a.get();
+  job.x = slot.rep_x.get();
+  switch (req.kernel) {
+    case Kernel::kSpMV:
+      if (plan.backend == exec::BackendKind::kCpu &&
+          spmv_runs_as_spmm(plan.run_a)) {
+        // CPU backend only: coalescible plans serve through the SpMM twin
+        // as a width-1 column stack — exactly the coalesced path with one
+        // member — so response bits never depend on batch timing, in
+        // every kernel tier. (The SIMD SpMV row kernel reduces 8 lanes in
+        // a tree and would otherwise round differently from the twin.)
+        // Device backends take the SpMV job as-is: device-routed requests
+        // never fuse, so there is no batch-timing bit contract to keep,
+        // and the sim lowers SpMV to a k x 1 matmul anyway.
+        slot.staged_b = exec::stack_columns({&req.vec}, job.alloc);
+        slot.unstack = true;
+        job.kernel = Kernel::kSpMM;
+        job.dense_b = &slot.staged_b;
+      } else {
+        job.vec = &req.vec;
+      }
+      break;
+    case Kernel::kGemm:
+    case Kernel::kSpMM:
+      if (slot.rep_b != nullptr) {
+        job.b = slot.rep_b.get();
+      } else {
+        job.dense_b = &req.dense_b;
+      }
+      break;
+    case Kernel::kSpGEMM:
+      MT_REQUIRE(slot.rep_b != nullptr,
+                 "SpGEMM needs two registered operands");
+      job.b = slot.rep_b.get();
+      break;
+    case Kernel::kSpTTM:
+      job.dense_b = &req.dense_b;
+      break;
+    case Kernel::kMTTKRP:
+      job.dense_b = &req.dense_b;
+      job.dense_c = &req.dense_c;
+      break;
+  }
+}
+
+void Server::run_job(Slot& slot) {
+  ServeStats& s = slot.resp.stats;
+  const bool device = slot.plan->backend != exec::BackendKind::kCpu;
+  const bool claimed = slot.ticket != exec::DeviceRing::kInvalidTicket;
+  const auto t_exec = now_ns();
+  exec::JobResult jr;
+  if (claimed) {
+    jr = ring_->wait(slot.ticket);
+    s.device_wait_ns = now_ns() - t_exec;
+  } else {
+    jr = (device ? device_backend_ : cpu_backend_)->run(slot.job);
+  }
+  if (device && opts_.backend.dual_run) dual_run_check(slot.job, jr);
+  s.dispatch = jr.dispatch;
+  s.device_ns = jr.device_ns;
+  if (slot.unstack) {
+    slot.resp.result = exec::column_of(std::get<DenseMatrix>(jr.output), 0);
+  } else {
+    slot.resp.result = std::move(jr.output);
+  }
+  // A claimed job reports its device-side wall time; a run on this
+  // worker, the worker's.
+  s.exec_ns = claimed ? jr.run_ns : now_ns() - t_exec;
+  if (slot.plan->latency != nullptr) slot.plan->latency->record(s.exec_ns);
+  if (auto* h = exec_hist(s.dispatch)) h->record(s.exec_ns);
+}
+
+void Server::run_request(Item& item, Slot& slot,
+                         const ModelSnapshot& model) {
+  try {
+    if (slot.plan == nullptr) begin(item, slot, model);
+    if (slot.ticket == exec::DeviceRing::kInvalidTicket) {
+      stage_job(item.req, slot, model);
+    }
+    run_job(slot);
+    complete(item, std::move(slot.resp), slot.start_ns);
+  } catch (...) {
+    fail(item, std::current_exception());
+  }
+}
+
+void Server::run_fused(std::vector<Item>& window, std::vector<Slot>& slots,
+                       const std::vector<std::size_t>& members,
+                       const ModelSnapshot& model) {
+  Item& lead = window[members.front()];
+  Slot& ls = slots[members.front()];
+  try {
+    // Only the leader resolves: the members share one workload key, so a
+    // resolution failure (unknown/evicted handle) is every member's.
+    begin(lead, ls, model);
+    const Plan& plan = *ls.plan;
+    const bool is_spmv = lead.req.kernel == Kernel::kSpMV;
+    if (is_spmv && !spmv_runs_as_spmm(plan.run_a)) {
+      // No provably bit-identical SpMM twin for this plan's ACF: serve
+      // the leader under the stats that already paid the resolution, then
+      // the rest one by one (their resolutions hit the now-cached plan).
+      for (const auto i : members) run_request(window[i], slots[i], model);
+      return;
+    }
+    ServeStats& lstats = ls.resp.stats;
+    const auto start = ls.start_ns;  // group start: queue wait ends here
+    const auto t_conv = now_ns();
+    const auto rep_a = matrix_rep(lead.req.a, plan.run_a, lstats);
+    lstats.convert_ns = now_ns() - t_conv;
+
+    // Gather: one wide dense factor from the members' payloads.
+    const index_t width = is_spmv ? 1 : lead.req.dense_b.cols();
+    DenseMatrix fused_b;
+    if (is_spmv) {
+      std::vector<const std::vector<value_t>*> cols;
+      cols.reserve(members.size());
+      for (const auto i : members) cols.push_back(&window[i].req.vec);
+      fused_b = exec::stack_columns(cols, dense_alloc());
+    } else {
+      std::vector<const DenseMatrix*> blocks;
+      blocks.reserve(members.size());
+      for (const auto i : members) blocks.push_back(&window[i].req.dense_b);
+      fused_b = exec::concat_columns(blocks, dense_alloc());
+    }
+
+    const auto t_exec = now_ns();
+    exec::Dispatch dispatch;
+    const DenseMatrix fused_c = exec::spmm(*rep_a, fused_b, &dispatch);
+    const auto exec_end = now_ns();
+    const auto exec_ns = exec_end - t_exec;
+    // Histograms see the launch, not the members: one fused kernel is one
+    // latency sample (the per-request counters still amortize below).
+    if (ls.plan->latency != nullptr) ls.plan->latency->record(exec_ns);
+    if (auto* eh = exec_hist(dispatch)) eh->record(exec_ns);
+
+    // Scatter: build every response before completing any promise, so a
+    // failure anywhere still fails the whole group uniformly.
+    const int n = static_cast<int>(members.size());
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      const Item& it = window[members[j]];
+      Response& resp = slots[members[j]].resp;
+      ServeStats& s = resp.stats;
+      // The leader's stats carry the real plan/convert accounting.
+      // Followers were absorbed by its resolution — a cache hit when the
+      // plan cache is on, a freeride (not a hit) when it is bypassed, so
+      // bypass-mode counters still read zero hits.
+      if (j > 0) s.plan_cache_hit = opts_.caches.use_plan_cache;
+      s.queue_wait_ns = start - it.enqueue_ns;
+      s.trace_id = it.req.trace_id;
+      s.batched = true;
+      s.batch_size = n;
+      s.dispatch = dispatch;
+      s.exec_ns = exec_ns / n;  // amortized slice: sums stay meaningful
+      const auto j_idx = static_cast<index_t>(j);
+      if (is_spmv) {
+        resp.result = exec::column_of(fused_c, j_idx);
+      } else {
+        resp.result = exec::column_block(fused_c, j_idx * width, width,
+                                         dense_alloc());
+      }
+    }
+    // Trace: plan/convert on the leader's trace, one group span covering
+    // the fused launch, and per-member exec slices that exactly partition
+    // the group interval (slice j is [t_exec + j*exec_ns/n,
+    // t_exec + (j+1)*exec_ns/n)) and link to it via parent_span — each
+    // member's slice lives on that member's own trace id, so following
+    // any one request's trace leads to the launch it shared.
+    if (trace_ring_.capacity() > 0 && lead.req.trace_id != 0) {
+      obs::TraceScope scope(&trace_ring_, &trace_ids_, lead.req.trace_id);
+      scope.add(obs::Stage::kPlan, start, start + lstats.plan_ns);
+      scope.add(obs::Stage::kConvert, start + lstats.plan_ns,
+                start + lstats.plan_ns + lstats.convert_ns);
+      const auto group =
+          scope.add(obs::Stage::kGroup, t_exec, exec_end, 0, n);
+      for (std::size_t j = 0; j < members.size(); ++j) {
+        const Item& it = window[members[j]];
+        const auto jj = static_cast<std::int64_t>(j);
+        scope.add_for(it.req.trace_id, obs::Stage::kQueue, it.enqueue_ns,
+                      start);
+        scope.add_for(it.req.trace_id, obs::Stage::kExec,
+                      t_exec + jj * exec_ns / n,
+                      t_exec + (jj + 1) * exec_ns / n, group, n);
+      }
+      scope.add(obs::Stage::kScatter, exec_end, now_ns(), 0, n);
+    }
+    // Count before completing any promise: a client that observes its
+    // future ready must also observe the batch in the counters.
+    counters_.record_batch(n);
+    for (const auto i : members) {
+      complete(window[i], std::move(slots[i].resp), start);
+    }
+  } catch (...) {
+    const auto e = std::current_exception();
+    for (const auto i : members) fail(window[i], e);
+  }
+}
+
+void Server::complete(Item& item, Response resp, std::int64_t start_ns) {
+  if (queue_wait_hist_ != nullptr) {
+    queue_wait_hist_->record(resp.stats.queue_wait_ns);
+  }
+  // A fused member's spans were recorded with its group's.
+  if (!resp.stats.batched) record_trace(item.enqueue_ns, start_ns, resp.stats);
+  // Count before completing the promise: a client that observes its
+  // future ready must also observe it in the counters.
+  counters_.record(resp.stats);
+  item.promise.set_value(std::move(resp));
+}
+
+void Server::fail(Item& item, std::exception_ptr e) {
+  counters_.record_failure();
+  item.promise.set_exception(std::move(e));
 }
 
 void Server::record_trace(std::int64_t enqueue_ns, std::int64_t start_ns,
@@ -1029,162 +974,6 @@ BatchItem Server::batch_item_for(const Request& r) const {
       break;
   }
   return b;
-}
-
-void Server::serve_fused(std::vector<Item>& window,
-                         const std::vector<std::size_t>& members) {
-  Item& lead = window[members.front()];
-  const auto start = now_ns();  // group start: queue wait ends here
-  ServeStats ls;  // leader stats: the group's plan/convert costs
-  ls.queue_wait_ns = start - lead.enqueue_ns;
-  ls.trace_id = lead.req.trace_id;
-  PlanCache::PlanPtr plan;
-  try {
-    plan = resolve_plan(lead.req, ls);
-  } catch (...) {
-    // Resolution failure (unknown/evicted handle): the members share one
-    // workload key, so each would have failed alone with the same error.
-    const auto e = std::current_exception();
-    for (const auto i : members) {
-      counters_.record_failure();
-      window[i].promise.set_exception(e);
-    }
-    return;
-  }
-  serve_fused_exec(window, members, plan, ls, start);
-}
-
-void Server::serve_fused_exec(std::vector<Item>& window,
-                              const std::vector<std::size_t>& members,
-                              const PlanCache::PlanPtr& plan,
-                              const ServeStats& leader_stats,
-                              std::int64_t start) {
-  Item& lead = window[members.front()];
-  const bool is_spmv = lead.req.kernel == Kernel::kSpMV;
-  try {
-    ServeStats ls = leader_stats;
-    if (is_spmv && !(coalescible_spmv_format(plan->run_a) &&
-                     exec::has_native(Kernel::kSpMM, plan->run_a))) {
-      // No provably bit-identical SpMM twin for this plan's ACF: serve
-      // the leader under the stats that already paid the resolution, then
-      // the rest one by one (their resolutions hit the now-cached plan).
-      Response resp;
-      resp.stats = ls;
-      execute_plan(lead.req, plan, resp);
-      if (queue_wait_hist_ != nullptr) {
-        queue_wait_hist_->record(resp.stats.queue_wait_ns);
-      }
-      record_trace(lead.enqueue_ns, start, resp.stats);
-      counters_.record(resp.stats);
-      lead.promise.set_value(std::move(resp));
-      for (std::size_t j = 1; j < members.size(); ++j) {
-        serve_one(window[members[j]]);
-      }
-      return;
-    }
-    const auto t_conv = now_ns();
-    const auto rep_a = matrix_rep(lead.req.a, plan->run_a, ls);
-    ls.convert_ns = now_ns() - t_conv;
-
-    // Gather: one wide dense factor from the members' payloads.
-    const index_t width = is_spmv ? 1 : lead.req.dense_b.cols();
-    DenseMatrix fused_b;
-    if (is_spmv) {
-      std::vector<const std::vector<value_t>*> cols;
-      cols.reserve(members.size());
-      for (const auto i : members) cols.push_back(&window[i].req.vec);
-      fused_b = exec::stack_columns(cols, dense_alloc());
-    } else {
-      std::vector<const DenseMatrix*> blocks;
-      blocks.reserve(members.size());
-      for (const auto i : members) blocks.push_back(&window[i].req.dense_b);
-      fused_b = exec::concat_columns(blocks, dense_alloc());
-    }
-
-    const auto t_exec = now_ns();
-    exec::Dispatch dispatch;
-    const DenseMatrix fused_c = exec::spmm(*rep_a, fused_b, &dispatch);
-    const auto exec_end = now_ns();
-    const auto exec_ns = exec_end - t_exec;
-    // Histograms see the launch, not the members: one fused kernel is one
-    // latency sample (the per-request counters still amortize below).
-    if (plan->latency != nullptr) plan->latency->record(exec_ns);
-    if (auto* eh = exec_hist(dispatch)) eh->record(exec_ns);
-
-    // Scatter: build every response before completing any promise, so a
-    // failure anywhere still fails the whole group uniformly.
-    const int n = static_cast<int>(members.size());
-    std::vector<Response> out(members.size());
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      const Item& it = window[members[j]];
-      Response& resp = out[j];
-      ServeStats& s = resp.stats;
-      if (j == 0) {
-        s = ls;  // the leader carries the real plan/convert accounting
-      } else {
-        // Followers were absorbed by the leader's resolution — a cache
-        // hit when the plan cache is on, a freeride (not a hit) when it
-        // is bypassed, so bypass-mode counters still read zero hits.
-        s.plan_cache_hit = opts_.caches.use_plan_cache;
-      }
-      s.queue_wait_ns = start - it.enqueue_ns;
-      s.trace_id = it.req.trace_id;
-      s.batched = true;
-      s.batch_size = n;
-      s.dispatch = dispatch;
-      s.exec_ns = exec_ns / n;  // amortized slice: sums stay meaningful
-      if (queue_wait_hist_ != nullptr) {
-        queue_wait_hist_->record(s.queue_wait_ns);
-      }
-      const auto j_idx = static_cast<index_t>(j);
-      if (is_spmv) {
-        resp.result = exec::column_of(fused_c, j_idx);
-      } else {
-        resp.result = exec::column_block(fused_c, j_idx * width, width,
-                                         dense_alloc());
-      }
-    }
-    // Trace: plan/convert on the leader's trace, one group span covering
-    // the fused launch, and per-member exec slices that exactly partition
-    // the group interval (slice j is [t_exec + j*exec_ns/n,
-    // t_exec + (j+1)*exec_ns/n)) and link to it via parent_span — each
-    // member's slice lives on that member's own trace id, so following
-    // any one request's trace leads to the launch it shared.
-    if (trace_ring_.capacity() > 0 && lead.req.trace_id != 0) {
-      obs::TraceScope scope(&trace_ring_, &trace_ids_, lead.req.trace_id);
-      scope.add(obs::Stage::kPlan, start, start + ls.plan_ns);
-      scope.add(obs::Stage::kConvert, start + ls.plan_ns,
-                start + ls.plan_ns + ls.convert_ns);
-      const auto group =
-          scope.add(obs::Stage::kGroup, t_exec, exec_end, 0, n);
-      for (std::size_t j = 0; j < members.size(); ++j) {
-        const Item& it = window[members[j]];
-        const auto jj = static_cast<std::int64_t>(j);
-        scope.add_for(it.req.trace_id, obs::Stage::kQueue, it.enqueue_ns,
-                      start);
-        scope.add_for(it.req.trace_id, obs::Stage::kExec,
-                      t_exec + jj * exec_ns / n,
-                      t_exec + (jj + 1) * exec_ns / n, group, n);
-      }
-      scope.add(obs::Stage::kScatter, exec_end, now_ns(), 0, n);
-    }
-    // Count before completing any promise: a client that observes its
-    // future ready must also observe the batch in the counters.
-    counters_.record_batch(n);
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      counters_.record(out[j].stats);
-      window[members[j]].promise.set_value(std::move(out[j]));
-    }
-  } catch (...) {
-    // Group-level failure (unknown/evicted handle, shape mismatch): the
-    // members share one workload key, so each would have failed alone
-    // with the same error.
-    const auto e = std::current_exception();
-    for (const auto i : members) {
-      counters_.record_failure();
-      window[i].promise.set_exception(e);
-    }
-  }
 }
 
 // --- Exposition ---

@@ -22,6 +22,12 @@
 // exec engine's const-ref entry points. Results return through futures
 // together with a ServeStats record; aggregate counters feed benches.
 //
+// Every backend configuration serves through one window pipeline
+// (Server::serve_window): group the drained window by route and fuse
+// key, dispatch its device-ring jobs, then complete the groups in
+// arrival order. A CPU-only server is the case where nothing is
+// dispatched to a ring.
+//
 // Thread policy (see common/threads.hpp): with more than one worker the
 // server joins a process-wide thread budget that caps the OpenMP kernel
 // width to hardware_threads() / (total workers across all live servers),
@@ -214,42 +220,6 @@ struct ServerOptions {
   // checked by bench_serve) and tracing off.
   ObsOptions obs;
 
-  // --- Deprecated aliases (one release) ---
-  //
-  // The pre-grouping flat knobs. Server construction calls normalized(),
-  // which folds any alias that differs from its default into the nested
-  // group above (the alias wins over an untouched group field, so old
-  // call sites keep working verbatim). New code sets the groups directly.
-  [[deprecated("use caches.use_plan_cache")]]
-  bool use_plan_cache = true;
-  [[deprecated("use caches.use_conversion_cache")]]
-  bool use_conversion_cache = true;
-  [[deprecated("use caches.plan_limits")]]
-  CacheOptions plan_cache_limits;
-  [[deprecated("use caches.conversion_limits")]]
-  CacheOptions conversion_cache_limits;
-  [[deprecated("use batch.policy")]]
-  BatchPolicy batching = BatchPolicy::kWindow;
-  [[deprecated("use batch.window")]]
-  int batch_window = 8;
-  [[deprecated("use arena.enabled")]]
-  bool use_arena = true;
-  [[deprecated("use arena.max_cached_bytes")]]
-  std::size_t arena_max_cached_bytes = std::size_t{64} << 20;
-
-  // A copy with every set deprecated alias folded into its group.
-  ServerOptions normalized() const;
-
-  // Special members are user-declared and defaulted out of line (in
-  // server.cpp, inside a -Wdeprecated-declarations suppression): the
-  // compiler-synthesized versions would copy the deprecated aliases and
-  // trip -Werror in every TU that copies a ServerOptions.
-  ServerOptions();
-  ServerOptions(const ServerOptions&);
-  ServerOptions(ServerOptions&&);
-  ServerOptions& operator=(const ServerOptions&);
-  ServerOptions& operator=(ServerOptions&&);
-  ~ServerOptions();
 };
 
 class Server {
@@ -341,8 +311,7 @@ class Server {
   std::size_t queue_depth() const { return queue_.size(); }
   const PlanCache& plan_cache() const { return plans_; }
   const ConversionCache& conversion_cache() const { return reps_; }
-  // The options as normalized at construction (deprecated aliases folded
-  // into their groups) — read the nested groups, not the aliases.
+  // The options as given at construction.
   const ServerOptions& options() const { return opts_; }
   // The payload arena, or null when ServerOptions::arena.enabled is off.
   const std::shared_ptr<Arena>& arena() const { return arena_; }
@@ -384,28 +353,74 @@ class Server {
     std::int64_t enqueue_ns = 0;
   };
 
+  // One coherent read of the live planning model. Each serving window
+  // takes one snapshot and uses it for every member's route, plan key
+  // and SAGE search, so a concurrent update_model() can never cache a
+  // plan priced under one fingerprint but keyed under another.
+  struct ModelSnapshot {
+    AccelConfig accel;
+    EnergyParams energy;
+    std::uint64_t fingerprint = 0;
+  };
+
+  // One request's serving state for its window's pass. A window's Slots
+  // are sized once, so a submitted job's operand pointers (into its Slot)
+  // stay valid until the ticket is claimed — the ring's lifetime contract.
+  struct Slot {
+    exec::BackendKind route = exec::BackendKind::kCpu;
+    bool done = false;  // already failed; later stages skip it
+    std::int64_t start_ns = 0;  // queue wait ends here
+    Response resp;
+    PlanCache::PlanPtr plan;
+    ConversionCache::MatrixPtr rep_a, rep_b;
+    ConversionCache::TensorPtr rep_x;
+    // The backend job, operand pointers borrowed from the reps above and
+    // the request body. On the CPU backend a coalescible SpMV stages its
+    // vector as a width-1 SpMM factor — the bit-stable twin of the fused
+    // path — in `staged_b`; `unstack` marks the result for column-0
+    // extraction.
+    exec::Job job;
+    DenseMatrix staged_b;
+    bool unstack = false;
+    // Set once the job is on the device ring: completing it is a claim.
+    exec::DeviceRing::Ticket ticket = exec::DeviceRing::kInvalidTicket;
+  };
+
   void worker_loop();
+  // The one serving pipeline, for every backend configuration:
+  //   group     route every request under one model snapshot and
+  //             partition the window with the backend-aware fuse key
+  //             (runtime/batcher.hpp); device-routed requests never fuse;
+  //   dispatch  resolve, convert and submit every ring-routed request
+  //             before anything is claimed or run on this worker;
+  //   complete  walk the groups in first-arrival order: a multi-member
+  //             host group runs one fused launch, every other request
+  //             runs here or is claimed from the ring.
+  // Every request ends in complete() or fail(). A CPU-only server is the
+  // case where nothing routes to the ring.
   void serve_window(std::vector<Item>& window);
-  void serve_one(Item& item);
-  void serve_fused(std::vector<Item>& window,
-                   const std::vector<std::size_t>& members);
-  // The fused-group body after the leader's plan is resolved: gather the
-  // members' payloads, one coalesced launch, scatter per-member column
-  // blocks. `ls` is the leader's stats (it paid the plan/convert costs),
-  // `start` the group-start timestamp. Shared by the CPU-only window path
-  // (via serve_fused) and CPU-routed groups of the device-capable path.
-  void serve_fused_exec(std::vector<Item>& window,
-                        const std::vector<std::size_t>& members,
-                        const PlanCache::PlanPtr& plan, const ServeStats& ls,
-                        std::int64_t start);
-  // Device-capable window path: resolves every request's plan (learning
-  // its backend route), groups with the backend-aware fuse key so no
-  // group crosses a substrate, submits all ring-routed jobs as ONE
-  // DeviceRing::submit_all batch before claiming any completion (>1
-  // device job in flight per serving worker), and completes groups in
-  // first-arrival order — CPU-routed groups fuse/execute on the worker
-  // while device jobs are in flight.
-  void serve_window_device(std::vector<Item>& window);
+  // Starts serving a request: its queue wait ends now, and its plan
+  // resolves under the window's snapshot and the route picked at grouping.
+  void begin(Item& item, Slot& slot, const ModelSnapshot& model);
+  // Conversion + job assembly under slot.plan (see Slot::job). The job
+  // also borrows `model`, which SimBackend reads while it runs.
+  void stage_job(const Request& req, Slot& slot, const ModelSnapshot& model);
+  // Runs the staged job on its backend — or claims it from the ring — and
+  // moves its output and exec accounting into slot.resp.
+  void run_job(Slot& slot);
+  // One request to completion: begins it unless the dispatch stage or its
+  // group's leader already did, stages and runs (or claims) its job.
+  void run_request(Item& item, Slot& slot, const ModelSnapshot& model);
+  // A multi-member host group: only the leader resolves the plan, the
+  // members' payloads gather into one wide factor for a single SpMM
+  // launch, and each member gets its column block back.
+  void run_fused(std::vector<Item>& window, std::vector<Slot>& slots,
+                 const std::vector<std::size_t>& members,
+                 const ModelSnapshot& model);
+  // The completion tail every response takes: queue-wait histogram, trace
+  // replay, counters, then the promise. fail() is the error twin.
+  void complete(Item& item, Response resp, std::int64_t start_ns);
+  void fail(Item& item, std::exception_ptr e);
   // Replays a served request's stage intervals (already measured into its
   // ServeStats) as trace spans: queue -> plan -> convert -> exec laid
   // end-to-end from `start_ns`. One ring lock per request, zero extra
@@ -417,22 +432,6 @@ class Server {
   // the steady state is one atomic pointer load. Null when metrics off.
   obs::Histogram* exec_hist(const exec::Dispatch& d);
   BatchItem batch_item_for(const Request& r) const;
-  Response serve(Request& req, std::int64_t queue_wait_ns);
-  void execute_plan(Request& req, const PlanCache::PlanPtr& plan,
-                    Response& resp);
-  // One backend job for `req` under `plan`, operand pointers borrowed from
-  // the resolved representations and the request body. On the CPU backend
-  // a coalescible SpMV stages its vector as a width-1 SpMM factor — the
-  // bit-stable twin of the fused path — owned by `staged_b`; `unstack`
-  // marks the dense result for column-0 extraction.
-  struct JobBundle {
-    exec::Job job;
-    DenseMatrix staged_b;
-    bool unstack = false;
-  };
-  void fill_job(JobBundle& jb, const Request& req, const Plan& plan,
-                const AnyMatrix* rep_a, const AnyMatrix* rep_b,
-                const AnyTensor* rep_x, bool device) const;
   // Dual-run cross-check: replays `job` on the CPU backend and compares
   // outputs (exec::max_rel_error); records the check and throws when the
   // divergence exceeds opts_.backend.dual_run_tolerance.
@@ -446,30 +445,24 @@ class Server {
   AlignedAllocator<value_t> dense_alloc() const {
     return arena_ ? arena_allocator(arena_) : AlignedAllocator<value_t>{};
   }
-  // One coherent read of the live planning model. Each request takes
-  // exactly one snapshot and uses it for both the plan key and the SAGE
-  // search, so a concurrent update_model() can never cache a plan priced
-  // under one fingerprint but keyed under another.
-  struct ModelSnapshot {
-    AccelConfig accel;
-    EnergyParams energy;
-    std::uint64_t fingerprint = 0;
-  };
   ModelSnapshot model_snapshot() const;
-  PlanCache::PlanPtr resolve_plan(const Request& r, ServeStats& s);
-  // `key` is key_for(r, model), built once by resolve_plan.
+  PlanCache::PlanPtr resolve_plan(const Request& r, ServeStats& s,
+                                  const ModelSnapshot& model,
+                                  exec::BackendKind route);
+  // `key` is key_for(r, route, model), built once by resolve_plan.
   PlanCache::PlanPtr compute_plan(const Request& r, ServeStats& s,
                                   const ModelSnapshot& model,
                                   const PlanKey& key);
   // Which substrate serves `r`: kForce pins every request to the
   // configured backend; kAuto compares the host and device price
   // envelopes (flops estimate only — routing runs before any SAGE
-  // search, so it must stay O(1) per request). Both callers of one
-  // request pass the same snapshot, so routing and pricing can never
-  // straddle an update_model().
+  // search, so it must stay O(1) per request). A request is routed once,
+  // under the same snapshot its plan key and SAGE search use, so routing
+  // and pricing can never straddle an update_model().
   exec::BackendKind route_backend(const Request& r,
                                   const ModelSnapshot& model) const;
-  PlanKey key_for(const Request& r, const ModelSnapshot& model) const;
+  PlanKey key_for(const Request& r, exec::BackendKind route,
+                  const ModelSnapshot& model) const;
 
   ConversionCache::MatrixPtr matrix_src(std::uint64_t id) const;
   ConversionCache::TensorPtr tensor_src(std::uint64_t id) const;
@@ -497,7 +490,7 @@ class Server {
   std::unordered_map<std::uint64_t, ConversionCache::TensorPtr> tensors_
       MT_GUARDED_BY(reg_mu_);
 
-  // Payload arena (null when opts_.use_arena is false). Shared: response
+  // Payload arena (null when opts_.arena.enabled is false). Shared: response
   // buffers carry the shared_ptr through their allocator, so client-held
   // results stay valid after the server dies.
   std::shared_ptr<Arena> arena_;

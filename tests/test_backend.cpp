@@ -3,7 +3,7 @@
 // mint bit-identity with the CPU kernels, CPU-vs-sim dual-run agreement
 // on all six kernels, ring ticket/backpressure/drain semantics, the
 // server's async device path keeping >1 job in flight per worker, and
-// the grouped ServerOptions with deprecated flat aliases.
+// the serving pipeline's one failure tail on mixed host/device windows.
 //
 // Tolerance note (the dual-run contract): SimBackend lowers every kernel
 // to tiled fp32 A*B matmuls inside the simulator's single-tile envelope,
@@ -392,98 +392,6 @@ TEST(DeviceRing, TryPollReportsInFlightThenDelivers) {
   EXPECT_EQ(tag_of(out), 42.0f);
 }
 
-TEST(DeviceRing, SubmitAllIssuesOrderedTicketsAndDeliversEachJob) {
-  GateBackend dev;
-  exec::DeviceRing ring(dev, {.slots = 8, .workers = 2});
-  std::vector<exec::Job> jobs;
-  for (int i = 0; i < 5; ++i) jobs.push_back(tagged_job(10 + i));
-  const auto tickets = ring.submit_all(std::move(jobs));
-  ASSERT_EQ(tickets.size(), 5u);
-  // Tickets come out in submission order from the same monotonic source
-  // submit() draws from: consecutive, ascending, starting at 1 here.
-  for (std::size_t i = 0; i < tickets.size(); ++i) {
-    EXPECT_EQ(tickets[i], static_cast<exec::DeviceRing::Ticket>(i + 1));
-  }
-  dev.open();
-  for (std::size_t i = 0; i < tickets.size(); ++i) {
-    EXPECT_EQ(tag_of(ring.wait(tickets[i])),
-              static_cast<value_t>(10 + static_cast<int>(i)));
-  }
-  const auto s = ring.stats();
-  EXPECT_EQ(s.submitted, 5);
-  EXPECT_EQ(s.completed, 5);
-  EXPECT_EQ(s.in_flight, 0);
-}
-
-TEST(DeviceRing, SubmitAllBlocksOnFullSlotsThenAdmitsTheRest) {
-  GateBackend dev;
-  exec::DeviceRing ring(dev, {.slots = 2, .workers = 1});
-  ring.submit(tagged_job(1));
-  dev.wait_started(1);             // worker holds job 1; queue is empty
-  ring.submit(tagged_job(2));      // fill both descriptor slots
-  ring.submit(tagged_job(3));
-  std::atomic<bool> returned{false};
-  std::vector<exec::DeviceRing::Ticket> batch;
-  std::thread submitter([&] {
-    batch = ring.submit_all({tagged_job(4), tagged_job(5), tagged_job(6)});
-    returned.store(true);
-  });
-  // The window is larger than the free slot count: submit_all must park
-  // on the same space_ backpressure as per-job submit.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(returned.load());
-  EXPECT_EQ(ring.stats().in_flight, 3);  // 1 executing + 2 queued
-  dev.open();
-  submitter.join();
-  EXPECT_TRUE(returned.load());
-  ASSERT_EQ(batch.size(), 3u);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i], static_cast<exec::DeviceRing::Ticket>(4 + i));
-  }
-  for (exec::DeviceRing::Ticket t = 1; t <= 6; ++t) {
-    EXPECT_EQ(tag_of(ring.wait(t)), static_cast<value_t>(t));
-  }
-}
-
-TEST(DeviceRing, SubmitAllWindowLargerThanRingDrainsUnderTheSlotBound) {
-  // A whole serving window goes through one submit_all even when the
-  // window exceeds the descriptor ring: the call admits in slot-sized
-  // runs, letting the device drain between runs, and in-flight depth
-  // never exceeds slots + workers.
-  const auto mint = exec::make_backend(exec::BackendKind::kMint);
-  exec::DeviceRing ring(*mint, {.slots = 4, .workers = 1});
-  const Operands ops;
-  std::vector<exec::Job> jobs;
-  for (int i = 0; i < 16; ++i) jobs.push_back(ops.job(Kernel::kSpMV));
-  const auto tickets = ring.submit_all(std::move(jobs));
-  ASSERT_EQ(tickets.size(), 16u);
-  const auto want = mint->run(ops.job(Kernel::kSpMV));
-  for (std::size_t i = 0; i < tickets.size(); ++i) {
-    EXPECT_NE(tickets[i], exec::DeviceRing::kInvalidTicket) << i;
-    if (i > 0) {
-      EXPECT_GT(tickets[i], tickets[i - 1]) << i;
-    }
-    const auto r = ring.wait(tickets[i]);
-    EXPECT_EQ(exec::max_rel_error(want.output, r.output), 0.0) << i;
-  }
-  const auto s = ring.stats();
-  EXPECT_EQ(s.submitted, 16);
-  EXPECT_EQ(s.completed, 16);
-  EXPECT_LE(s.peak_in_flight, 4 + 1);  // queued bound + the lone worker
-}
-
-TEST(DeviceRing, SubmitAllOnStoppedRingReturnsOnlyInvalidTickets) {
-  const auto mint = exec::make_backend(exec::BackendKind::kMint);
-  exec::DeviceRing ring(*mint, {.slots = 4, .workers = 1});
-  ring.stop();
-  const Operands ops;
-  const auto tickets =
-      ring.submit_all({ops.job(Kernel::kSpMV), ops.job(Kernel::kSpMV)});
-  ASSERT_EQ(tickets.size(), 2u);
-  for (auto t : tickets) EXPECT_EQ(t, exec::DeviceRing::kInvalidTicket);
-  EXPECT_EQ(ring.stats().submitted, 0);
-}
-
 TEST(DeviceRing, StopMidSubmitAllLeavesUnadmittedJobsInvalid) {
   GateBackend dev;
   exec::DeviceRing ring(dev, {.slots = 1, .workers = 1});
@@ -492,12 +400,16 @@ TEST(DeviceRing, StopMidSubmitAllLeavesUnadmittedJobsInvalid) {
   const auto t2 = ring.submit(tagged_job(2));  // the only slot is held
   std::vector<exec::DeviceRing::Ticket> batch;
   std::thread submitter([&] {
-    batch = ring.submit_all({tagged_job(3), tagged_job(4)});
+    // A window posted job by job, as the server's dispatch stage does.
+    for (const int tag : {3, 4}) {
+      batch.push_back(ring.submit(tagged_job(tag)));
+    }
   });
   // Let the submitter park on backpressure, then stop the ring while it
   // waits. stop() wakes it before any slot frees, so neither window job
-  // is admitted; stop() itself blocks joining the gated worker until
-  // open() lets the accepted jobs drain.
+  // is admitted (the second finds intake already closed); stop() itself
+  // blocks joining the gated worker until open() lets the accepted jobs
+  // drain.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   std::thread stopper([&] { ring.stop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -520,47 +432,7 @@ TEST(DeviceRing, DeviceFaultsRethrowAtClaim) {
   EXPECT_EQ(ring.stats().completed, 1);  // a faulted job still completes
 }
 
-// --- Grouped ServerOptions + deprecated flat aliases ---
-
-TEST(ServerOptionsGroups, DeprecatedAliasesFoldIntoGroups) {
-  ServerOptions o;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  // Pre-grouping call-site style: flat knobs only.
-  o.use_plan_cache = false;
-  o.batch_window = 3;
-  o.use_arena = false;
-  o.arena_max_cached_bytes = 1024;
-#pragma GCC diagnostic pop
-  const ServerOptions n = o.normalized();
-  EXPECT_FALSE(n.caches.use_plan_cache);
-  EXPECT_EQ(n.batch.window, 3);
-  EXPECT_FALSE(n.arena.enabled);
-  EXPECT_EQ(n.arena.max_cached_bytes, 1024u);
-  // Untouched aliases leave their groups alone.
-  EXPECT_TRUE(n.caches.use_conversion_cache);
-  EXPECT_EQ(n.batch.policy, runtime::BatchPolicy::kWindow);
-}
-
-TEST(ServerOptionsGroups, GroupSettingsSurviveNormalization) {
-  ServerOptions o;
-  o.caches.use_conversion_cache = false;
-  o.batch.window = 5;
-  const ServerOptions n = o.normalized();
-  EXPECT_FALSE(n.caches.use_conversion_cache);
-  EXPECT_EQ(n.batch.window, 5);
-}
-
-TEST(ServerOptionsGroups, ServerNormalizesAtConstruction) {
-  ServerOptions o;
-  o.num_workers = 1;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  o.batch_window = 2;
-#pragma GCC diagnostic pop
-  Server srv(o);
-  EXPECT_EQ(srv.options().batch.window, 2);
-}
+// --- Grouped ServerOptions ---
 
 TEST(ServerOptionsGroups, AsyncAndDualRunRequireADeviceBackend) {
   ServerOptions o;
@@ -947,7 +819,8 @@ TEST(ServerBackendAuto, DeviceModelSwapLeavesHostPlansCached) {
 
 TEST(ServerBackendAuto, MixedTrafficNeverFusesAcrossBackendsAndMatchesUnbatched) {
   // The batching acceptance gate: mixed CPU/device traffic through a
-  // batching kAuto server (async ring, whole windows through submit_all)
+  // batching kAuto server (async ring, whole windows submitted before any
+  // claim)
   // must be bit-identical to the same traffic through a batching-off
   // server, and no fused launch may span backends.
   auto batched_o = auto_opts();
@@ -1033,7 +906,7 @@ TEST(ServerBackendAuto, MixedTrafficNeverFusesAcrossBackendsAndMatchesUnbatched)
   const auto uh = reg(unbatched);
 
   // Stage the whole burst behind the batching server's occupied worker so
-  // it drains as one mixed window through serve_window_device.
+  // it drains as one mixed window through the serving pipeline.
   auto occupier = occupy_worker(batched, bh.hba, bh.hbb);
   std::vector<std::future<Response>> bf;
   for (auto& r : traffic(bh)) bf.push_back(batched.submit(std::move(r)));
@@ -1068,6 +941,93 @@ TEST(ServerBackendAuto, MixedTrafficNeverFusesAcrossBackendsAndMatchesUnbatched)
   EXPECT_EQ(unbatched.counters().device_jobs, 2);
 }
 
+// The serving pipeline's one fail() tail on the device-capable path: a
+// kAuto window mixing fusible host SpMVs, device-routed SpMMs claimed from
+// the async ring, and one request naming an evicted handle fails exactly
+// that request. Every other response matches batching-off serving bit for
+// bit, and requests on one handle complete in submission order.
+TEST(ServerBackendAuto, EvictedHandleFailsOnlyItsRequestInAMixedWindow) {
+  auto batched_o = auto_opts();
+  batched_o.backend.async = true;
+  batched_o.backend.ring_slots = 16;
+  batched_o.backend.ring_workers = 2;
+  Server batched(batched_o);
+  auto off_o = auto_opts();
+  off_o.batch.policy = runtime::BatchPolicy::kOff;
+  Server unbatched(off_o);
+
+  const auto small = random_dense(48, 40, 0.12, 101);
+  const auto big = random_dense(400, 400, 0.05, 102);
+  const auto big_b = random_dense(400, 400, 0.05, 103);
+  const auto factor = random_dense(400, 8, 1.0, 104);
+  const std::vector<value_t> x(40, 0.5f);
+  // Host SpMVs on `hs` interleaved with device SpMMs on `hb`.
+  const auto traffic = [&](runtime::MatrixHandle hs,
+                           runtime::MatrixHandle hb) {
+    std::vector<Request> reqs;
+    for (int i = 0; i < 4; ++i) {
+      reqs.push_back(spmv_request(hs, x));
+      Request r;
+      r.kernel = Kernel::kSpMM;
+      r.a = hb;
+      r.dense_b = factor;
+      reqs.push_back(std::move(r));
+    }
+    return reqs;
+  };
+
+  const auto hs = batched.register_matrix(encode(small, Format::kCSR));
+  const auto hb = batched.register_matrix(encode(big, Format::kCSR));
+  const auto hbb = batched.register_matrix(encode(big_b, Format::kCSR));
+  const auto he = batched.register_matrix(encode(small, Format::kCSR));
+  batched.evict(he);
+  auto reqs = traffic(hs, hb);
+  constexpr std::size_t kBad = 3;
+  reqs.insert(reqs.begin() + kBad, spmv_request(he, x));
+  std::vector<std::uint64_t> handle_of;
+  for (const auto& r : reqs) handle_of.push_back(r.a.id);
+
+  // Stage the burst behind the occupied worker so it drains as one window.
+  auto occupier = occupy_worker(batched, hb, hbb);
+  std::vector<std::future<Response>> bf;
+  for (auto& r : reqs) bf.push_back(batched.submit(std::move(r)));
+  (void)occupier.get();
+
+  // Per-handle completion order: wait newest-first; once a request is
+  // ready, every earlier request on its handle must be ready too.
+  for (std::size_t j = bf.size(); j-- > 0;) {
+    bf[j].wait();
+    for (std::size_t i = 0; i < j; ++i) {
+      if (handle_of[i] != handle_of[j]) continue;
+      EXPECT_EQ(bf[i].wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << i << " completed after " << j;
+    }
+  }
+
+  const auto us = unbatched.register_matrix(encode(small, Format::kCSR));
+  const auto ub = unbatched.register_matrix(encode(big, Format::kCSR));
+  std::vector<std::future<Response>> uf;
+  for (auto& r : traffic(us, ub)) uf.push_back(unbatched.submit(std::move(r)));
+  ASSERT_EQ(bf.size(), uf.size() + 1);
+  for (std::size_t i = 0, k = 0; i < bf.size(); ++i) {
+    if (i == kBad) {
+      EXPECT_THROW((void)bf[i].get(), std::invalid_argument);
+      continue;
+    }
+    const auto got = bf[i].get();
+    const auto want = uf[k++].get();
+    EXPECT_EQ(exec::max_rel_error(want.result, got.result), 0.0) << i;
+    EXPECT_EQ(got.stats.dispatch.backend, want.stats.dispatch.backend) << i;
+  }
+  const auto bc = batched.counters();
+  EXPECT_EQ(bc.failed, 1);
+  // The window really mixed substrates: the occupier and the four big
+  // SpMMs went to the device, the SpMVs stayed on the host.
+  EXPECT_EQ(bc.device_jobs, 5);
+  EXPECT_EQ(unbatched.counters().failed, 0);
+}
+
 // --- The dual-run alerting alias counter ---
 
 TEST(ServerBackend, DualRunMismatchAlertCounterInBothExpositionFormats) {
@@ -1091,8 +1051,9 @@ TEST(ServerBackend, DualRunMismatchAlertCounterInBothExpositionFormats) {
   EXPECT_EQ(srv.counters().dual_run_mismatches, 1);
 }
 
-// Concurrent submit_all windows from many submitters — the TSan target
-// for the batched-admission path: window admission interleaves with slot
+// Concurrent windows from many submitters, each posting its whole window
+// job by job before claiming any (the server's dispatch pattern) — the
+// TSan target for ring admission: per-job submits interleave with slot
 // backpressure, worker drain, and claims from every submitter thread.
 TEST(ServerBackendStress, ConcurrentSubmitAllWindowsStayCoherent) {
   const auto mint = exec::make_backend(exec::BackendKind::kMint);
@@ -1107,11 +1068,10 @@ TEST(ServerBackendStress, ConcurrentSubmitAllWindowsStayCoherent) {
   for (int s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&] {
       for (int w = 0; w < kWindows; ++w) {
-        std::vector<exec::Job> jobs;
+        std::vector<exec::DeviceRing::Ticket> tickets;
         for (int i = 0; i < kWindowSize; ++i) {
-          jobs.push_back(ops.job(Kernel::kSpMV));
+          tickets.push_back(ring.submit(ops.job(Kernel::kSpMV)));
         }
-        const auto tickets = ring.submit_all(std::move(jobs));
         for (std::size_t i = 0; i < tickets.size(); ++i) {
           // Per-window monotonicity holds even with interleaved windows.
           if (tickets[i] == exec::DeviceRing::kInvalidTicket) ++bad;

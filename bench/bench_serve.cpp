@@ -146,8 +146,11 @@ ServerOptions make_options(const Config& cfg, bool caches_on) {
   ServerOptions o;
   o.num_workers = cfg.workers;
   o.queue_capacity = 64;
-  o.caches.use_plan_cache = caches_on;
-  o.caches.use_conversion_cache = caches_on;
+  if (!caches_on) {
+    // A zero budget is the bypass: every request searches and converts.
+    o.caches.plan_limits.max_entries = 0;
+    o.caches.conversion_limits.max_entries = 0;
+  }
   // Batching off here: the cached/bypass numbers isolate what the caches
   // buy, and stay comparable to the recorded PR-3 baseline. The batching
   // phase below measures the batcher separately.

@@ -1,7 +1,9 @@
 #include "exec/exec.hpp"
 
 #include <array>
+#include <optional>
 #include <sstream>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "common/simd.hpp"
@@ -169,6 +171,16 @@ Dispatch make_pair_dispatch(Kernel k, Format fa, Format fb) {
   return d;
 }
 
+// Reports a single-sparse-operand call on format `f` into `d` and returns
+// the format it runs in (runnable(k, f)).
+Format route(Kernel k, Format f, Dispatch* d) {
+  auto info = make_dispatch(k, f);
+  info.ran_a = runnable(k, f);
+  if (info.ran_a != f) info.path = Path::kFallback;
+  if (d != nullptr) *d = info;
+  return info.ran_a;
+}
+
 }  // namespace
 
 std::string Dispatch::describe() const {
@@ -186,30 +198,16 @@ std::string Dispatch::describe() const {
 std::vector<value_t> spmv(const AnyMatrix& a, const std::vector<value_t>& x,
                           Dispatch* d) {
   const Format f = format_of(a);
-  auto info = make_dispatch(Kernel::kSpMV, f);
-  const auto& reg = registry();
-  if (SpmvFn fn = reg.spmv[idx(f)]) {
-    if (d != nullptr) *d = info;
-    return fn(a, x);
-  }
-  info.path = Path::kFallback;
-  info.ran_a = fallback_format(Kernel::kSpMV);
-  if (d != nullptr) *d = info;
-  return reg.spmv[idx(info.ran_a)](convert(a, info.ran_a), x);
+  const Format ran = route(Kernel::kSpMV, f, d);
+  const SpmvFn fn = registry().spmv[idx(ran)];
+  return ran == f ? fn(a, x) : fn(convert(a, ran), x);
 }
 
 DenseMatrix spmm(const AnyMatrix& a, const DenseMatrix& b, Dispatch* d) {
   const Format f = format_of(a);
-  auto info = make_dispatch(Kernel::kSpMM, f);
-  const auto& reg = registry();
-  if (SpmmFn fn = reg.spmm[idx(f)]) {
-    if (d != nullptr) *d = info;
-    return fn(a, b);
-  }
-  info.path = Path::kFallback;
-  info.ran_a = fallback_format(Kernel::kSpMM);
-  if (d != nullptr) *d = info;
-  return reg.spmm[idx(info.ran_a)](convert(a, info.ran_a), b);
+  const Format ran = route(Kernel::kSpMM, f, d);
+  const SpmmFn fn = registry().spmm[idx(ran)];
+  return ran == f ? fn(a, b) : fn(convert(a, ran), b);
 }
 
 DenseMatrix spmm(const AnyMatrix& a, const AnyMatrix& b, Dispatch* d) {
@@ -219,31 +217,15 @@ DenseMatrix spmm(const AnyMatrix& a, const AnyMatrix& b, Dispatch* d) {
                        ? Kernel::kGemm
                        : Kernel::kSpMM;
   auto info = make_pair_dispatch(k, fa, fb);
-  const auto& reg = registry();
-  if (PairFn fn = reg.spmm_pair[pair_idx(fa, fb)]) {
-    if (d != nullptr) *d = info;
-    return fn(a, b);
-  }
-  info.path = Path::kFallback;
-  // Cheapest repair first: keep A native and densify B, then re-format A
-  // to CSR keeping B, then convert both.
-  if (reg.spmm_pair[pair_idx(fa, Format::kDense)] != nullptr) {
-    info.ran_b = Format::kDense;
-    if (d != nullptr) *d = info;
-    return reg.spmm_pair[pair_idx(fa, Format::kDense)](
-        a, AnyMatrix(decode(b)));
-  }
-  if (reg.spmm_pair[pair_idx(Format::kCSR, fb)] != nullptr) {
-    info.ran_a = Format::kCSR;
-    if (d != nullptr) *d = info;
-    return reg.spmm_pair[pair_idx(Format::kCSR, fb)](convert(a, Format::kCSR),
-                                                     b);
-  }
-  info.ran_a = Format::kCSR;
-  info.ran_b = Format::kDense;
+  std::tie(info.ran_a, info.ran_b) = runnable_pair(fa, fb);
+  if (info.ran_a != fa || info.ran_b != fb) info.path = Path::kFallback;
   if (d != nullptr) *d = info;
-  return spmm_csr_dense(std::get<CsrMatrix>(convert(a, Format::kCSR)),
-                        decode(b));
+  const PairFn fn = registry().spmm_pair[pair_idx(info.ran_a, info.ran_b)];
+  // A repair only ever re-formats A to CSR and densifies B.
+  std::optional<AnyMatrix> ca, cb;
+  if (info.ran_a != fa) ca = convert(a, info.ran_a);
+  if (info.ran_b != fb) cb = AnyMatrix(decode(b));
+  return fn(ca ? *ca : a, cb ? *cb : b);
 }
 
 CsrMatrix spgemm(const AnyMatrix& a, const AnyMatrix& b, Dispatch* d) {
@@ -270,31 +252,17 @@ CsrMatrix spgemm(const AnyMatrix& a, const AnyMatrix& b, Dispatch* d) {
 
 DenseTensor3 ttm(const AnyTensor& x, const DenseMatrix& u, Dispatch* d) {
   const Format f = format_of(x);
-  auto info = make_dispatch(Kernel::kSpTTM, f);
-  const auto& reg = registry();
-  if (TtmFn fn = reg.ttm[idx(f)]) {
-    if (d != nullptr) *d = info;
-    return fn(x, u);
-  }
-  info.path = Path::kFallback;
-  info.ran_a = fallback_format(Kernel::kSpTTM);
-  if (d != nullptr) *d = info;
-  return reg.ttm[idx(info.ran_a)](convert(x, info.ran_a), u);
+  const Format ran = route(Kernel::kSpTTM, f, d);
+  const TtmFn fn = registry().ttm[idx(ran)];
+  return ran == f ? fn(x, u) : fn(convert(x, ran), u);
 }
 
 DenseMatrix mttkrp(const AnyTensor& x, const DenseMatrix& b,
                    const DenseMatrix& c, Dispatch* d) {
   const Format f = format_of(x);
-  auto info = make_dispatch(Kernel::kMTTKRP, f);
-  const auto& reg = registry();
-  if (MttkrpFn fn = reg.mttkrp[idx(f)]) {
-    if (d != nullptr) *d = info;
-    return fn(x, b, c);
-  }
-  info.path = Path::kFallback;
-  info.ran_a = fallback_format(Kernel::kMTTKRP);
-  if (d != nullptr) *d = info;
-  return reg.mttkrp[idx(info.ran_a)](convert(x, info.ran_a), b, c);
+  const Format ran = route(Kernel::kMTTKRP, f, d);
+  const MttkrpFn fn = registry().mttkrp[idx(ran)];
+  return ran == f ? fn(x, b, c) : fn(convert(x, ran), b, c);
 }
 
 DenseMatrix stack_columns(
@@ -395,6 +363,17 @@ Format fallback_format(Kernel k) {
     case Kernel::kMTTKRP: return Format::kCSF;
   }
   return Format::kDense;
+}
+
+Format runnable(Kernel k, Format f) {
+  return has_native(k, f) ? f : fallback_format(k);
+}
+
+std::pair<Format, Format> runnable_pair(Format fa, Format fb) {
+  if (has_native_pair(fa, fb)) return {fa, fb};
+  if (has_native_pair(fa, Format::kDense)) return {fa, Format::kDense};
+  if (has_native_pair(Format::kCSR, fb)) return {Format::kCSR, fb};
+  return {Format::kCSR, Format::kDense};
 }
 
 std::vector<Format> supported_formats(Kernel k) {

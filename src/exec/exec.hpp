@@ -20,6 +20,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -168,6 +169,16 @@ bool has_native_pair(Format fa, Format fb);
 
 // The ACF the engine converts to when no native kernel is registered.
 Format fallback_format(Kernel k);
+
+// The formats a call actually runs in — the one owner of the engine's
+// fallback order. runnable(k, f) is `f` when `k` has a native kernel for
+// it, else fallback_format(k). runnable_pair(fa, fb) is the pair the
+// two-compressed-operand SpMM runs for inputs (fa, fb): the pair itself
+// when native, else the cheapest repair — keep A and densify B, then make
+// A CSR keeping B, then CSR x Dense. The serving runtime plans onto these
+// so its conversion cache materializes exactly what executes.
+Format runnable(Kernel k, Format f);
+std::pair<Format, Format> runnable_pair(Format fa, Format fb);
 
 // Every format the engine accepts for `k`'s sparse operand (native or
 // fallback): the AnyMatrix alternatives for matrix kernels, the AnyTensor

@@ -1,166 +1,46 @@
 #include "runtime/conversion_cache.hpp"
 
-#include <type_traits>
-
-#include "runtime/stats.hpp"
-
 namespace mt::runtime {
 
+ConversionCache::ConversionCache(CacheOptions limits)
+    : memo_(limits, [](const Rep& rep) {
+        return std::visit(
+            [](const auto& p) {
+              return static_cast<std::size_t>(
+                  storage_of(*p, DataType::kFp32).total_bytes());
+            },
+            rep);
+      }) {}
+
 template <typename Ptr>
-std::unordered_map<ConversionCache::Key, ConversionCache::Entry<Ptr>,
-                   ConversionCache::KeyHash>&
-ConversionCache::map_for() {
-  if constexpr (std::is_same_v<Ptr, MatrixPtr>) {
-    return matrices_;
-  } else {
-    static_assert(std::is_same_v<Ptr, TensorPtr>);
-    return tensors_;
-  }
-}
-
-template <typename Ptr, typename Convert, typename Bytes>
-Ptr ConversionCache::get(Key key, const Convert& fn, const Bytes& bytes_of,
+Ptr ConversionCache::get(std::uint64_t id, Format f, const Ptr& src,
                          bool* hit) {
-  if (limits_.bypass()) {
-    // Zero budget: compute without publishing (and without single-flight —
-    // concurrent callers each convert; that is the semantics bypass asks
-    // for).
-    if (hit != nullptr) *hit = false;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return fn();
+  if (format_of(*src) == f) {
+    // Identity: share the registered representation, no copy.
+    if (hit != nullptr) *hit = true;
+    memo_.count_hit();
+    return src;
   }
-  std::shared_future<Ptr> fut;
-  std::promise<Ptr> mine;
-  bool compute = false;
-  {
-    LockGuard lk(mu_);
-    auto& map = map_for<Ptr>();
-    auto it = map.find(key);
-    if (it != map.end()) {
-      fut = it->second.fut;
-      // Refresh recency so a hot representation outlives capacity
-      // pressure. Entries still being computed are not indexed yet.
-      if (it->second.ready) index_.refresh(key);
-    } else {
-      fut = mine.get_future().share();
-      map.emplace(key, Entry<Ptr>{fut, /*ready=*/false});
-      compute = true;
-    }
-  }
-  if (hit != nullptr) *hit = !compute;
-  (compute ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
-  if (compute) {
-    try {
-      const auto t0 = now_ns();
-      Ptr rep = fn();
-      const auto cost_ns = static_cast<double>(now_ns() - t0);
-      {
-        LockGuard lk(mu_);
-        // The entry may have been evict(id)ed while we converted; only
-        // finalize (and index) entries that are still published.
-        auto& map = map_for<Ptr>();
-        auto it = map.find(key);
-        if (it != map.end()) {
-          it->second.ready = true;
-          index_.touch(key, cost_ns, bytes_of(*rep));
-          enforce_limits();
-        }
-      }
-      mine.set_value(std::move(rep));
-    } catch (...) {
-      {
-        LockGuard lk(mu_);
-        map_for<Ptr>().erase(key);
-        index_.erase(key);
-      }
-      mine.set_exception(std::current_exception());
-    }
-  }
-  return fut.get();
-}
-
-void ConversionCache::enforce_limits() {
-  while (index_.over(limits_)) {
-    const auto victim = index_.pop_victim();
-    if (!victim) break;  // everything left is in-flight; nothing evictable
-    matrices_.erase(*victim);
-    tensors_.erase(*victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
+  using Value = typename Ptr::element_type;
+  return std::get<Ptr>(memo_.get_or_compute(
+      Key{id, f},
+      [&] { return Rep(std::make_shared<Value>(convert(*src, f))); }, hit));
 }
 
 ConversionCache::MatrixPtr ConversionCache::matrix(std::uint64_t id, Format f,
                                                    const MatrixPtr& src,
                                                    bool* hit) {
-  if (format_of(*src) == f) {
-    // Identity: share the registered representation, no copy.
-    if (hit != nullptr) *hit = true;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return src;
-  }
-  return get<MatrixPtr>(
-      Key{id, f},
-      [&] { return std::make_shared<const AnyMatrix>(convert(*src, f)); },
-      [](const AnyMatrix& m) {
-        return static_cast<std::size_t>(
-            storage_of(m, DataType::kFp32).total_bytes());
-      },
-      hit);
+  return get(id, f, src, hit);
 }
 
 ConversionCache::TensorPtr ConversionCache::tensor(std::uint64_t id, Format f,
                                                    const TensorPtr& src,
                                                    bool* hit) {
-  if (format_of(*src) == f) {
-    if (hit != nullptr) *hit = true;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return src;
-  }
-  return get<TensorPtr>(
-      Key{id, f},
-      [&] { return std::make_shared<const AnyTensor>(convert(*src, f)); },
-      [](const AnyTensor& t) {
-        return static_cast<std::size_t>(
-            storage_of(t, DataType::kFp32).total_bytes());
-      },
-      hit);
+  return get(id, f, src, hit);
 }
 
 void ConversionCache::evict(std::uint64_t id) {
-  LockGuard lk(mu_);
-  for (auto it = matrices_.begin(); it != matrices_.end();) {
-    if (it->first.id == id) {
-      index_.erase(it->first);
-      it = matrices_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = tensors_.begin(); it != tensors_.end();) {
-    if (it->first.id == id) {
-      index_.erase(it->first);
-      it = tensors_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ConversionCache::clear() {
-  LockGuard lk(mu_);
-  matrices_.clear();
-  tensors_.clear();
-  index_.clear();
-}
-
-std::size_t ConversionCache::size() const {
-  LockGuard lk(mu_);
-  return matrices_.size() + tensors_.size();
-}
-
-std::size_t ConversionCache::bytes() const {
-  LockGuard lk(mu_);
-  return index_.bytes();
+  memo_.erase_if([id](const Key& k) { return k.id == id; });
 }
 
 }  // namespace mt::runtime

@@ -11,26 +11,27 @@
 //
 // A request for the operand's own registered format shares the registered
 // representation itself and counts as a hit: identity is the cheapest
-// conversion. Like the plan cache, population is single-flight.
+// conversion. Like the plan cache, population is MemoCache's
+// (cache_policy.hpp) single-flight get-or-compute. Matrix and tensor
+// representations share one map keyed on (id, format): the server hands
+// out matrix and tensor ids from one counter, so a key names exactly one
+// operand and the one budget covers both.
 //
-// Capacity (cache_policy.hpp): a CacheOptions budget bounds the number of
-// materialized representations and their aggregate storage_of() bytes.
-// Over budget, the cost-aware LRU policy evicts the representation whose
-// measured convert() time makes it cheapest to recompute among the least
-// recently used; identity shares are never stored, so they cost no budget.
+// Capacity: a CacheOptions budget bounds the number of materialized
+// representations and their aggregate storage_of() bytes. Over budget,
+// the cost-aware LRU policy evicts the representation whose measured
+// convert() time makes it cheapest to recompute among the least recently
+// used; identity shares are never stored, so they cost no budget.
 // Eviction only unpublishes the cache entry — in-flight requests holding
 // the shared_ptr keep their representation alive until they finish. A
-// zero budget disables caching entirely (every call converts, nothing is
-// stored, single-flight is forfeited).
+// zero budget is the bypass: every call converts, nothing is stored, and
+// identity still shares.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <unordered_map>
+#include <variant>
 
-#include "common/thread_annotations.hpp"
 #include "convert/convert.hpp"
 #include "runtime/cache_policy.hpp"
 
@@ -41,7 +42,7 @@ class ConversionCache {
   using MatrixPtr = std::shared_ptr<const AnyMatrix>;
   using TensorPtr = std::shared_ptr<const AnyTensor>;
 
-  explicit ConversionCache(CacheOptions limits = {}) : limits_(limits) {}
+  explicit ConversionCache(CacheOptions limits = {});
 
   // Representation of matrix operand `id` (whose registered form is
   // `src`) in format `f`. `hit` reports whether the conversion was
@@ -56,24 +57,18 @@ class ConversionCache {
   // Drops every cached representation of operand `id`. In-flight requests
   // holding the shared_ptr keep their representation alive; the cache just
   // stops handing it out.
-  void evict(std::uint64_t id) MT_EXCLUDES(mu_);
+  void evict(std::uint64_t id);
 
-  void clear() MT_EXCLUDES(mu_);
-
-  std::int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::int64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  bool bypass() const { return memo_.bypass(); }
+  std::int64_t hits() const { return memo_.hits(); }
+  std::int64_t misses() const { return memo_.misses(); }
   // Representations dropped by the capacity policy (evict() calls — the
   // operand-retirement path — are not counted here).
-  std::int64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  std::size_t size() const MT_EXCLUDES(mu_);
+  std::int64_t evictions() const { return memo_.evictions(); }
+  std::size_t size() const { return memo_.size(); }
   // Aggregate storage_of() bytes of the materialized representations
   // (identity shares excluded — they borrow the registry's memory).
-  std::size_t bytes() const MT_EXCLUDES(mu_);
-  const CacheOptions& limits() const { return limits_; }
+  std::size_t bytes() const { return memo_.bytes(); }
 
  private:
   struct Key {
@@ -87,42 +82,13 @@ class ConversionCache {
                                         static_cast<std::uint64_t>(k.f));
     }
   };
-  // Map payload: the single-flight future plus whether the computing
-  // thread has finalized it (only finalized entries are in the victim
-  // index, so an in-flight computation is never evicted under its
-  // waiters).
+  using Rep = std::variant<MatrixPtr, TensorPtr>;
+
+  // The identity share or the memoized conversion of `src` to `f`.
   template <typename Ptr>
-  struct Entry {
-    std::shared_future<Ptr> fut;
-    bool ready = false;
-  };
+  Ptr get(std::uint64_t id, Format f, const Ptr& src, bool* hit);
 
-  // The map holding entries of pointer type Ptr. Template-selected so the
-  // guarded-field reference is only ever formed under mu_ (passing the map
-  // into get() from an unlocked caller would trip
-  // -Wthread-safety-reference).
-  template <typename Ptr>
-  std::unordered_map<Key, Entry<Ptr>, KeyHash>& map_for() MT_REQUIRES(mu_);
-
-  template <typename Ptr, typename Convert, typename Bytes>
-  Ptr get(Key key, const Convert& fn, const Bytes& bytes_of, bool* hit)
-      MT_EXCLUDES(mu_);
-
-  // Evicts lowest-priority entries until the budget holds. Victims can
-  // live in either map; ids are shared across both (the server hands out
-  // matrix and tensor ids from one counter), so erasing the key from both
-  // maps is unambiguous.
-  void enforce_limits() MT_REQUIRES(mu_);
-
-  const CacheOptions limits_;
-  mutable Mutex mu_;
-  std::unordered_map<Key, Entry<MatrixPtr>, KeyHash> matrices_
-      MT_GUARDED_BY(mu_);
-  std::unordered_map<Key, Entry<TensorPtr>, KeyHash> tensors_
-      MT_GUARDED_BY(mu_);
-  EvictionIndex<Key, KeyHash> index_ MT_GUARDED_BY(mu_);
-  std::atomic<std::int64_t> hits_{0}, misses_{0};
-  std::atomic<std::int64_t> evictions_{0};
+  MemoCache<Key, Rep, KeyHash> memo_;
 };
 
 }  // namespace mt::runtime

@@ -1,7 +1,5 @@
 #include "runtime/plan_cache.hpp"
 
-#include "runtime/stats.hpp"
-
 namespace mt::runtime {
 
 namespace {
@@ -30,85 +28,8 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
   return h;
 }
 
-PlanCache::PlanPtr PlanCache::get_or_compute(const PlanKey& key,
-                                             const Compute& fn, bool* hit) {
-  if (limits_.bypass()) {
-    // Zero budget: search without publishing (no single-flight either —
-    // exactly the semantics a disabled cache asks for).
-    if (hit != nullptr) *hit = false;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return fn();
-  }
-  std::shared_future<PlanPtr> fut;
-  std::promise<PlanPtr> mine;
-  bool compute = false;
-  {
-    LockGuard lk(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      fut = it->second.fut;
-      // Refresh recency so hot workloads outlive capacity pressure.
-      if (it->second.ready) index_.refresh(key);
-    } else {
-      fut = mine.get_future().share();
-      map_.emplace(key, Entry{fut, /*ready=*/false});
-      compute = true;
-    }
-  }
-  if (hit != nullptr) *hit = !compute;
-  (compute ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
-  if (compute) {
-    try {
-      const auto t0 = now_ns();
-      PlanPtr plan = fn();
-      const auto cost_ns = static_cast<double>(now_ns() - t0);
-      {
-        LockGuard lk(mu_);
-        // The entry may have been evicted/retired while we searched; only
-        // finalize (and index) entries that are still published.
-        auto it = map_.find(key);
-        if (it != map_.end()) {
-          it->second.ready = true;
-          index_.touch(key, cost_ns, sizeof(Plan));
-          enforce_limits();
-        }
-      }
-      mine.set_value(std::move(plan));
-    } catch (...) {
-      // Un-publish so later requests retry instead of caching the error,
-      // then propagate to this caller and any waiters.
-      // (If clear()/evict raced us this may drop a successor's fresh
-      // entry; that only costs one recompute, never a wrong result.)
-      {
-        LockGuard lk(mu_);
-        map_.erase(key);
-        index_.erase(key);
-      }
-      mine.set_exception(std::current_exception());
-    }
-  }
-  return fut.get();  // rethrows the computing thread's exception, if any
-}
-
-void PlanCache::enforce_limits() {
-  while (index_.over(limits_)) {
-    const auto victim = index_.pop_victim();
-    if (!victim) break;  // everything left is in-flight; nothing evictable
-    map_.erase(*victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void PlanCache::evict_operand(std::uint64_t id) {
-  LockGuard lk(mu_);
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.a == id || it->first.b == id) {
-      index_.erase(it->first);
-      it = map_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  erase_if([id](const PlanKey& k) { return k.a == id || k.b == id; });
 }
 
 RetireCounts PlanCache::retire(std::uint64_t model) {
@@ -116,28 +37,12 @@ RetireCounts PlanCache::retire(std::uint64_t model) {
   // kHostModel marks model-independent (CPU-backend) plans; sweeping it
   // would throw away plans no model swap can invalidate.
   if (model == kHostModel) return retired;
-  LockGuard lk(mu_);
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.model == model) {
-      ++retired.by_backend[static_cast<std::size_t>(it->first.backend)];
-      index_.erase(it->first);
-      it = map_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  erase_if([&](const PlanKey& k) {
+    if (k.model != model) return false;
+    ++retired.by_backend[static_cast<std::size_t>(k.backend)];
+    return true;
+  });
   return retired;
-}
-
-void PlanCache::clear() {
-  LockGuard lk(mu_);
-  map_.clear();
-  index_.clear();
-}
-
-std::size_t PlanCache::size() const {
-  LockGuard lk(mu_);
-  return map_.size();
 }
 
 }  // namespace mt::runtime

@@ -8,29 +8,23 @@
 // — operand contents behind a handle are immutable by contract, so id
 // equality implies workload equality.
 //
-// Lookup is single-flight: concurrent misses on one key elect one
-// computing thread; the others block on a shared_future rather than
-// duplicating the SAGE search. A throwing computation un-publishes the
-// entry so later requests can retry.
+// Lookup is MemoCache's (cache_policy.hpp) single-flight get-or-compute:
+// concurrent misses on one key elect one computing thread; the others
+// wait rather than duplicating the SAGE search, and a throwing search
+// un-publishes the entry so later requests can retry.
 //
-// Capacity (cache_policy.hpp): a CacheOptions budget bounds the number of
-// memoized plans (bytes are a flat sizeof(Plan) each — plans are tiny;
-// entry count is the real lever). Over budget, the cost-aware LRU policy
-// evicts the plan whose measured SAGE-search time makes it cheapest to
-// re-derive among the least recently used. A zero budget disables
-// memoization entirely (every request searches, like use_plan_cache =
-// false but scoped to the cache).
+// Capacity: a CacheOptions budget bounds the number of memoized plans
+// (bytes are a flat sizeof(Plan) each — plans are tiny; entry count is the
+// real lever). Over budget, the cost-aware LRU policy evicts the plan
+// whose measured SAGE-search time makes it cheapest to re-derive among the
+// least recently used. A zero budget is the bypass: every request
+// searches and nothing is stored.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <memory>
-#include <unordered_map>
 
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "exec/exec.hpp"
 #include "formats/format.hpp"
@@ -98,7 +92,8 @@ struct PlanKeyHash {
 
 // A reusable, fully-resolved decision: the winning SAGE combination plus
 // the ACFs the server actually executes. run_a/run_b are "repaired" to the
-// nearest formats with native exec-engine kernels, so a served request
+// formats the exec engine runs them in (exec::runnable / runnable_pair),
+// i.e. formats with native exec-engine kernels, so a served request
 // never pays a per-call conversion fallback inside the engine — the
 // conversion cache materializes exactly these formats, once.
 struct Plan {
@@ -125,24 +120,20 @@ struct Plan {
   obs::Histogram* latency = nullptr;
 };
 
-class PlanCache {
+// MemoCache::get_or_compute(key, fn, &hit) memoizes plans: `fn` runs at
+// most once per key across concurrent callers, outside the cache lock (it
+// is a full SAGE search, so it may re-enter the cache-owning Server).
+class PlanCache
+    : public MemoCache<PlanKey, std::shared_ptr<const Plan>, PlanKeyHash> {
  public:
   using PlanPtr = std::shared_ptr<const Plan>;
-  using Compute = std::function<PlanPtr()>;
 
-  explicit PlanCache(CacheOptions limits = {}) : limits_(limits) {}
-
-  // Returns the plan for `key`, invoking `fn` at most once across all
-  // concurrent callers of the same key. `hit` reports whether the entry
-  // already existed (i.e. this caller paid no SAGE search). `fn` runs
-  // outside the cache lock (it is a full SAGE search), so it may re-enter
-  // the cache-owning Server freely.
-  PlanPtr get_or_compute(const PlanKey& key, const Compute& fn, bool* hit)
-      MT_EXCLUDES(mu_);
+  explicit PlanCache(CacheOptions limits = {})
+      : MemoCache(limits, [](const PlanPtr&) { return sizeof(Plan); }) {}
 
   // Drops every plan mentioning operand `id` (called on eviction; ids are
   // never reused, so this is memory hygiene rather than correctness).
-  void evict_operand(std::uint64_t id) MT_EXCLUDES(mu_);
+  void evict_operand(std::uint64_t id);
 
   // Drops every plan priced against model fingerprint `model` and returns
   // how many were retired, broken down by backend. Plans keyed on a
@@ -152,38 +143,8 @@ class PlanCache {
   // is backend-partitioned: CPU-backend plans are keyed on kHostModel
   // (their pricing never reads the device model), so retiring a real
   // device fingerprint leaves them cached, and retire(kHostModel) itself
-  // is a no-op — CPU plans only leave via eviction or clear().
-  RetireCounts retire(std::uint64_t model) MT_EXCLUDES(mu_);
-
-  void clear() MT_EXCLUDES(mu_);
-
-  std::int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::int64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  // Plans retired by the capacity policy (not by evict_operand/retire —
-  // those are hygiene, this is budget pressure).
-  std::int64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  std::size_t size() const MT_EXCLUDES(mu_);
-  const CacheOptions& limits() const { return limits_; }
-
- private:
-  struct Entry {
-    std::shared_future<PlanPtr> fut;
-    bool ready = false;
-  };
-
-  // Evicts lowest-priority plans until the budget holds.
-  void enforce_limits() MT_REQUIRES(mu_);
-
-  const CacheOptions limits_;
-  mutable Mutex mu_;
-  std::unordered_map<PlanKey, Entry, PlanKeyHash> map_ MT_GUARDED_BY(mu_);
-  EvictionIndex<PlanKey, PlanKeyHash> index_ MT_GUARDED_BY(mu_);
-  std::atomic<std::int64_t> hits_{0}, misses_{0};
-  std::atomic<std::int64_t> evictions_{0};
+  // is a no-op — CPU plans only leave via eviction.
+  RetireCounts retire(std::uint64_t model);
 };
 
 }  // namespace mt::runtime

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
@@ -14,27 +15,6 @@
 namespace mt::runtime {
 
 namespace {
-
-// Repair a SAGE (ACFa, ACFb) pair to the nearest pair the exec engine runs
-// natively, mirroring the engine's own fallback order (keep A, densify B;
-// then CSR-ify A, keep B; then CSR x Dense). The conversion cache then
-// materializes exactly what will execute, so serving never pays the
-// engine's per-call conversion fallback.
-void repair_pair(Format& ra, Format& rb) {
-  if (exec::has_native_pair(ra, rb)) return;
-  if (exec::has_native_pair(ra, Format::kDense)) {
-    rb = Format::kDense;
-  } else if (exec::has_native_pair(Format::kCSR, rb)) {
-    ra = Format::kCSR;
-  } else {
-    ra = Format::kCSR;
-    rb = Format::kDense;
-  }
-}
-
-Format repair_single(Kernel k, Format acf) {
-  return exec::has_native(k, acf) ? acf : exec::fallback_format(k);
-}
 
 // Whether a host SpMV planned onto `acf` runs as its width-1 SpMM twin,
 // the kernel its fused group launches (so its bits never depend on
@@ -248,44 +228,29 @@ bool Server::operand_registered(std::uint64_t id) const {
 ConversionCache::MatrixPtr Server::matrix_rep(MatrixHandle h, Format f,
                                               ServeStats& s) {
   MT_REQUIRE(h.valid(), "request names no matrix operand");
-  auto src = matrix_src(h.id);
-  if (!opts_.caches.use_conversion_cache) {
-    if (format_of(*src) == f) {
-      // Identity needs no conversion even with the cache bypassed.
-      ++s.conversion_hits;
-      return src;
-    }
-    ++s.conversion_misses;
-    return std::make_shared<const AnyMatrix>(convert(*src, f));
-  }
   bool hit = false;
-  auto rep = reps_.matrix(h.id, f, src, &hit);
-  ++(hit ? s.conversion_hits : s.conversion_misses);
-  // evict() may have purged the caches between our registry lookup and the
-  // insert above; ids are never reused, so re-purge rather than leak an
-  // unreachable entry. (evict erases the registry before purging, so if
-  // the id is still registered here, its purge cannot have missed us.)
-  if (!hit && !operand_registered(h.id)) reps_.evict(h.id);
+  auto rep = reps_.matrix(h.id, f, matrix_src(h.id), &hit);
+  count_rep(h.id, hit, s);
   return rep;
 }
 
 ConversionCache::TensorPtr Server::tensor_rep(TensorHandle h, Format f,
                                               ServeStats& s) {
   MT_REQUIRE(h.valid(), "request names no tensor operand");
-  auto src = tensor_src(h.id);
-  if (!opts_.caches.use_conversion_cache) {
-    if (format_of(*src) == f) {
-      ++s.conversion_hits;
-      return src;
-    }
-    ++s.conversion_misses;
-    return std::make_shared<const AnyTensor>(convert(*src, f));
-  }
   bool hit = false;
-  auto rep = reps_.tensor(h.id, f, src, &hit);
-  ++(hit ? s.conversion_hits : s.conversion_misses);
-  if (!hit && !operand_registered(h.id)) reps_.evict(h.id);
+  auto rep = reps_.tensor(h.id, f, tensor_src(h.id), &hit);
+  count_rep(h.id, hit, s);
   return rep;
+}
+
+void Server::count_rep(std::uint64_t id, bool hit, ServeStats& s) {
+  ++(hit ? s.conversion_hits : s.conversion_misses);
+  // evict() may have purged the cache between our registry lookup and the
+  // insert; ids are never reused, so re-purge rather than leak an
+  // unreachable entry. (evict erases the registry before purging, so if
+  // the id is still registered here, its purge cannot have missed us.) A
+  // bypassed cache inserted nothing.
+  if (!hit && !reps_.bypass() && !operand_registered(id)) reps_.evict(id);
 }
 
 // --- Model lifecycle ---
@@ -392,7 +357,7 @@ PlanCache::PlanPtr Server::compute_plan(const Request& r, ServeStats& s,
       const auto a = matrix_rep(r.a, Format::kCOO, s);
       plan->choice = sage_select_spmm_dense_b(as_coo(*a), 1, accel,
                                               energy);
-      plan->run_a = repair_single(Kernel::kSpMV, plan->choice.acf_a);
+      plan->run_a = exec::runnable(Kernel::kSpMV, plan->choice.acf_a);
       break;
     }
     case Kernel::kSpMM: {
@@ -401,13 +366,14 @@ PlanCache::PlanPtr Server::compute_plan(const Request& r, ServeStats& s,
         const auto b = matrix_rep(r.b, Format::kCOO, s);
         plan->choice = sage_select_matmul(as_coo(*a), as_coo(*b), accel,
                                           energy);
-        plan->run_a = plan->choice.acf_a;
-        plan->run_b = plan->choice.acf_b;
-        repair_pair(plan->run_a, plan->run_b);
+        // Plan onto the pair the engine runs natively, so serving never
+        // pays its per-call conversion fallback.
+        std::tie(plan->run_a, plan->run_b) =
+            exec::runnable_pair(plan->choice.acf_a, plan->choice.acf_b);
       } else {
         plan->choice = sage_select_spmm_dense_b(
             as_coo(*a), r.dense_b.cols(), accel, energy);
-        plan->run_a = repair_single(Kernel::kSpMM, plan->choice.acf_a);
+        plan->run_a = exec::runnable(Kernel::kSpMM, plan->choice.acf_a);
         // The factor arrives dense in the request body and is consumed
         // dense; only registered operands go through the conversion cache.
         plan->run_b = Format::kDense;
@@ -430,7 +396,7 @@ PlanCache::PlanPtr Server::compute_plan(const Request& r, ServeStats& s,
       plan->tensor_choice =
           sage_select_tensor(as_coo(*x), r.dense_b.cols(), r.kernel,
                              accel, energy);
-      plan->run_a = repair_single(r.kernel, plan->tensor_choice.acf_t);
+      plan->run_a = exec::runnable(r.kernel, plan->tensor_choice.acf_t);
       break;
     }
   }
@@ -475,32 +441,26 @@ PlanCache::PlanPtr Server::resolve_plan(const Request& r, ServeStats& s,
   // One key per request: the routing decision, the cached entry, and the
   // latency-accumulator label all see the same backend and model.
   const PlanKey key = key_for(r, route, model);
-  PlanCache::PlanPtr plan;
-  if (!opts_.caches.use_plan_cache) {
-    s.plan_cache_hit = false;
-    plan = compute_plan(r, s, model, key);
-  } else {
-    bool hit = false;
-    plan = plans_.get_or_compute(
-        key, [&] { return compute_plan(r, s, model, key); }, &hit);
-    s.plan_cache_hit = hit;
-    // Same evict race as in matrix_rep/tensor_rep: un-publish a plan
-    // inserted for an operand that was concurrently evicted, or under a
-    // fingerprint that update_model() concurrently retired (the entry is
-    // internally consistent either way — key and pricing share one
-    // snapshot — this is memory hygiene, not correctness).
-    if (!hit) {
-      if (key.a != 0 && !operand_registered(key.a)) {
-        plans_.evict_operand(key.a);
-      }
-      if (key.b != 0 && !operand_registered(key.b)) {
-        plans_.evict_operand(key.b);
-      }
-      // kHostModel-keyed (CPU) plans are never stale: no model swap can
-      // invalidate them, so only device-fingerprint keys get the check.
-      if (key.model != kHostModel && key.model != model_fingerprint()) {
-        plans_.retire(key.model);
-      }
+  bool hit = false;
+  auto plan = plans_.get_or_compute(
+      key, [&] { return compute_plan(r, s, model, key); }, &hit);
+  s.plan_cache_hit = hit;
+  // Same evict race as in count_rep: un-publish a plan inserted for an
+  // operand that was concurrently evicted, or under a fingerprint that
+  // update_model() concurrently retired (the entry is internally
+  // consistent either way — key and pricing share one snapshot — this is
+  // memory hygiene, not correctness). A bypassed cache inserted nothing.
+  if (!hit && !plans_.bypass()) {
+    if (key.a != 0 && !operand_registered(key.a)) {
+      plans_.evict_operand(key.a);
+    }
+    if (key.b != 0 && !operand_registered(key.b)) {
+      plans_.evict_operand(key.b);
+    }
+    // kHostModel-keyed (CPU) plans are never stale: no model swap can
+    // invalidate them, so only device-fingerprint keys get the check.
+    if (key.model != kHostModel && key.model != model_fingerprint()) {
+      plans_.retire(key.model);
     }
   }
   s.plan_ns = now_ns() - t0;
@@ -834,7 +794,7 @@ void Server::run_fused(std::vector<Item>& window, std::vector<Slot>& slots,
       // Followers were absorbed by its resolution — a cache hit when the
       // plan cache is on, a freeride (not a hit) when it is bypassed, so
       // bypass-mode counters still read zero hits.
-      if (j > 0) s.plan_cache_hit = opts_.caches.use_plan_cache;
+      if (j > 0) s.plan_cache_hit = !plans_.bypass();
       s.queue_wait_ns = start - it.enqueue_ns;
       s.trace_id = it.req.trace_id;
       s.batched = true;

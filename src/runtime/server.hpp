@@ -123,15 +123,13 @@ struct ObsOptions {
   std::size_t trace_ring_capacity = 0;  // records kept; 0 = tracing off
 };
 
-// Cache behavior: bypass switches exist for benchmarking the no-cache
-// path (bench_serve) and for debugging; serving traffic wants both on.
-// Capacity budgets (cache_policy.hpp) default unbounded; bounded caches
-// shed cost-aware-LRU victims past the budget, and a zero budget stores
-// nothing. Under a ShardedServer these bound each shard, which is what
-// keeps operand churn safe at fleet scale.
+// Cache capacity budgets (cache_policy.hpp). They default unbounded;
+// bounded caches shed cost-aware-LRU victims past the budget. A zero
+// budget is the bypass — every request searches (plans) or re-converts
+// (representations) and nothing is stored — which bench_serve uses to
+// measure the no-cache path. Under a ShardedServer these bound each
+// shard, which is what keeps operand churn safe at fleet scale.
 struct CacheSettings {
-  bool use_plan_cache = true;        // off: SAGE search on every request
-  bool use_conversion_cache = true;  // off: operands re-convert per request
   CacheOptions plan_limits;
   CacheOptions conversion_limits;
 };
@@ -295,8 +293,11 @@ class Server {
   // --- Observability / lifecycle ---
 
   CountersSnapshot counters() const { return counters_.snapshot(); }
-  // Requests admitted but not yet drained by a worker (tests use this to
-  // stage deterministic batches; operators to watch backpressure).
+  // Requests admitted but not yet drained by a worker (operators watch it
+  // for backpressure). It reads 0 as soon as a worker pops a window's
+  // first request, before the window is complete, so it cannot tell a
+  // test that a worker is busy: tests/serving_testing.hpp waits for the
+  // worker's plan lookup instead.
   //
   // Consistency contract: the value is an atomic snapshot of THIS queue
   // (taken under the queue mutex — never a torn read), but it is stale
@@ -305,9 +306,8 @@ class Server {
   // each addend was exact at its own read point, while the total may
   // correspond to no single global instant. That is the strongest
   // guarantee available without a stop-the-world lock over every shard,
-  // and it is monotonic-safe for the two real uses — staging tests that
-  // wait for 0 on an idle server, and operators watching backpressure
-  // trends.
+  // and it is monotonic-safe for the real uses — tests that wait for 0
+  // on an idle server, and operators watching backpressure trends.
   std::size_t queue_depth() const { return queue_.size(); }
   const PlanCache& plan_cache() const { return plans_; }
   const ConversionCache& conversion_cache() const { return reps_; }
@@ -471,6 +471,9 @@ class Server {
                                         ServeStats& s);
   ConversionCache::TensorPtr tensor_rep(TensorHandle h, Format f,
                                         ServeStats& s);
+  // Counts one representation lookup into `s` and re-purges operand `id`
+  // if it was evicted while its lookup missed.
+  void count_rep(std::uint64_t id, bool hit, ServeStats& s);
 
   ServerOptions opts_;
 

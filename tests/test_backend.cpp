@@ -33,6 +33,7 @@
 #include "exec/device_ring.hpp"
 #include "exec/exec.hpp"
 #include "runtime/server.hpp"
+#include "serving_testing.hpp"
 #include "testing.hpp"
 
 namespace {
@@ -42,6 +43,7 @@ using runtime::Request;
 using runtime::Response;
 using runtime::Server;
 using runtime::ServerOptions;
+using mt::testing::occupy_worker;
 using mt::testing::random_dense;
 using mt::testing::random_tensor;
 
@@ -571,19 +573,6 @@ TEST(ServerBackend, DualRunMismatchFailsTheRequest) {
   EXPECT_EQ(c.dual_run_checks, 1);
   EXPECT_EQ(c.dual_run_mismatches, 1);
   EXPECT_EQ(c.failed, 1);
-}
-
-// Occupies the single serving worker with a chunky SpGEMM so everything
-// submitted next piles up in the queue and drains as one async window.
-std::future<Response> occupy_worker(Server& srv, runtime::MatrixHandle a,
-                                    runtime::MatrixHandle b) {
-  Request r;
-  r.kernel = Kernel::kSpGEMM;
-  r.a = a;
-  r.b = b;
-  auto fut = srv.submit(std::move(r));
-  while (srv.queue_depth() > 0) std::this_thread::yield();
-  return fut;
 }
 
 TEST(ServerBackend, AsyncRingKeepsManyDeviceJobsInFlightPerWorker) {

@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "runtime/router.hpp"
 #include "runtime/server.hpp"
+#include "serving_testing.hpp"
 #include "testing.hpp"
 
 namespace mt::obs {
@@ -288,6 +289,7 @@ TEST(TraceScope, BuffersSpansAndFlushesOnDestruction) {
 namespace mt::runtime {
 namespace {
 
+using mt::testing::occupy_worker;
 using mt::testing::random_dense;
 
 ServerOptions obs_opts() {
@@ -393,19 +395,6 @@ TEST(ServerObs, TraceCoversStagesUnderOneId) {
   EXPECT_TRUE(stages.contains(obs::Stage::kConvert));
   EXPECT_TRUE(stages.contains(obs::Stage::kExec));
   EXPECT_TRUE(srv.drain_trace().empty());  // drain cleared the ring
-}
-
-// Occupies the single worker so everything submitted next piles up in the
-// queue and drains as one batch window (test_runtime.cpp's idiom).
-std::future<Response> occupy_worker(Server& srv, MatrixHandle a,
-                                    MatrixHandle b) {
-  Request r;
-  r.kernel = Kernel::kSpGEMM;
-  r.a = a;
-  r.b = b;
-  auto fut = srv.submit(std::move(r));
-  while (srv.queue_depth() > 0) std::this_thread::yield();
-  return fut;
 }
 
 TEST(ServerObs, FusedGroupSpanIsPartitionedByMemberExecSlices) {

@@ -7,17 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <future>
-#include <thread>
 #include <vector>
 
 #include "common/threads.hpp"
 #include "runtime/router.hpp"
+#include "serving_testing.hpp"
 #include "testing.hpp"
 #include "workloads/synth.hpp"
 
 namespace mt::runtime {
 namespace {
 
+using testing::occupy_worker;
 using testing::random_dense;
 
 // --- HashRing properties ---
@@ -504,19 +505,6 @@ TEST(ShardedServer, AggregatesCountersAndQueueDepthAcrossShards) {
 
 // --- Batcher x sharding ---
 
-// Occupies shard `s`'s single worker with a chunky SpGEMM so everything
-// submitted next piles up in that shard's queue and drains as one window.
-std::future<Response> occupy_shard(ShardedServer& srv, int s,
-                                   MatrixHandle slow_a, MatrixHandle slow_b) {
-  Request r;
-  r.kernel = Kernel::kSpGEMM;
-  r.a = slow_a;
-  r.b = slow_b;
-  auto fut = srv.submit(std::move(r));
-  while (srv.queue_depth(s) > 0) std::this_thread::yield();
-  return fut;
-}
-
 // Per-handle FIFO and fused-vs-off bit-identity must survive requests
 // fanning out across shards: each shard batches its own queue
 // independently, and responses still match a batching-off router
@@ -570,8 +558,8 @@ TEST(ShardedServer, BatchedBurstsAcrossShardsBitIdenticalToOff) {
   const auto s1_a = register_on_shard(srv, slow, 1);
   const auto s1_b = register_on_shard(srv, slow, 1);
 
-  auto occ0 = occupy_shard(srv, 0, s0_a, s0_b);
-  auto occ1 = occupy_shard(srv, 1, s1_a, s1_b);
+  auto occ0 = occupy_worker(srv, srv.shard(0), s0_a, s0_b);
+  auto occ1 = occupy_worker(srv, srv.shard(1), s1_a, s1_b);
   std::vector<std::future<Response>> futs0, futs1;
   for (const auto& x : xs) {
     futs0.push_back(srv.submit(spmv_request(h0, x)));

@@ -1,12 +1,15 @@
 // Serving-runtime unit tests: plan-cache and conversion-cache hit/miss
-// accounting, bit-identical equivalence with direct exec-engine calls,
-// cache-bypass modes, eviction, backpressure, the kernel-thread cap, the
-// request batcher (grouping, fusion bit-identity, batch accounting), and
-// plan retirement on model updates.
+// accounting, single-flight get-or-compute, bit-identical equivalence with
+// direct exec-engine calls, cache-bypass modes, eviction, backpressure,
+// the kernel-thread cap, the request batcher (grouping, fusion
+// bit-identity, batch accounting), and plan retirement on model updates.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -15,12 +18,14 @@
 #include "runtime/mpmc_queue.hpp"
 #include "runtime/server.hpp"
 #include "sage/plan_key.hpp"
+#include "serving_testing.hpp"
 #include "testing.hpp"
 #include "workloads/synth.hpp"
 
 namespace mt::runtime {
 namespace {
 
+using testing::occupy_worker;
 using testing::random_dense;
 
 // A small server configuration that keeps SAGE searches cheap in tests.
@@ -257,8 +262,8 @@ TEST(Server, CacheBypassModesProduceIdenticalResults) {
   }
   {
     auto opts = small_opts();
-    opts.caches.use_plan_cache = false;
-    opts.caches.use_conversion_cache = false;
+    opts.caches.plan_limits.max_entries = 0;
+    opts.caches.conversion_limits.max_entries = 0;
     Server srv(opts);
     const auto h = srv.register_matrix(a_any);
     const auto r1 = srv.submit(spmv_request(h, x)).get();
@@ -491,20 +496,6 @@ ServerOptions batched_opts(int window = 16) {
   o.batch.policy = BatchPolicy::kWindow;
   o.batch.window = window;
   return o;
-}
-
-// Occupies the single worker with a chunky SpGEMM so everything submitted
-// next piles up in the queue and drains as one window when it finishes.
-// Spins until the worker has actually taken the occupier off the queue.
-std::future<Response> occupy_worker(Server& srv, MatrixHandle a,
-                                    MatrixHandle b) {
-  Request r;
-  r.kernel = Kernel::kSpGEMM;
-  r.a = a;
-  r.b = b;
-  auto fut = srv.submit(std::move(r));
-  while (srv.queue_depth() > 0) std::this_thread::yield();
-  return fut;
 }
 
 TEST(Server, CoalescedSpmvBitIdenticalToSingleRequests) {
@@ -812,6 +803,91 @@ TEST(PlanCache, RetireDropsOnlyMatchingFingerprintPerBackend) {
   EXPECT_TRUE(hit);  // the surviving fingerprint still serves
   (void)cache.get_or_compute(host, [&] { return plan; }, &hit);
   EXPECT_TRUE(hit);  // so does the host partition
+}
+
+// --- Single-flight get-or-compute (cache_policy.hpp MemoCache) ---
+
+TEST(MemoCache, ConcurrentMissesComputeOnceAndShareOneValue) {
+  PlanCache cache;
+  const PlanKey key{Kernel::kSpMV, 1, 0, 11, 1};
+  constexpr int kThreads = 8;
+  std::atomic<int> computes{0};
+  std::vector<PlanCache::PlanPtr> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();  // every thread misses the key at once
+      got[static_cast<std::size_t>(i)] = cache.get_or_compute(
+          key,
+          [&] {
+            computes.fetch_add(1);
+            // Hold the search open until every caller has looked the key
+            // up, so the others find this compute in flight.
+            while (cache.hits() + cache.misses() < kThreads) {
+              std::this_thread::yield();
+            }
+            return std::make_shared<const Plan>();
+          },
+          nullptr);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(computes.load(), 1);
+  ASSERT_NE(got[0], nullptr);
+  for (const auto& p : got) EXPECT_EQ(p.get(), got[0].get());
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), kThreads - 1);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(MemoCache, ThrowingComputeRethrowsToCallerAndWaitersAndUnpublishes) {
+  PlanCache cache;
+  const PlanKey key{Kernel::kSpMV, 1, 0, 11, 1};
+  constexpr int kWaiters = 3;
+  std::atomic<bool> computing{false};
+  std::atomic<int> rethrown{0}, waiter_computes{0};
+  const auto expect_throw = [&](const auto& fn) {
+    try {
+      (void)cache.get_or_compute(key, fn, nullptr);
+    } catch (const std::runtime_error&) {
+      rethrown.fetch_add(1);
+    }
+  };
+  std::thread leader([&] {
+    expect_throw([&]() -> PlanCache::PlanPtr {
+      computing.store(true);
+      // Throw only once every waiter has looked the key up.
+      while (cache.hits() + cache.misses() < 1 + kWaiters) {
+        std::this_thread::yield();
+      }
+      throw std::runtime_error("search failed");
+    });
+  });
+  while (!computing.load()) std::this_thread::yield();
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.emplace_back([&] {
+      expect_throw([&] {
+        waiter_computes.fetch_add(1);
+        return std::make_shared<const Plan>();
+      });
+    });
+  }
+  leader.join();
+  for (auto& t : waiters) t.join();
+  EXPECT_EQ(rethrown.load(), 1 + kWaiters);
+  EXPECT_EQ(waiter_computes.load(), 0);
+  // The failed entry was un-published: nothing is cached, and the next
+  // call recomputes (and this time caches).
+  EXPECT_EQ(cache.size(), 0u);
+  bool hit = true;
+  const auto plan = cache.get_or_compute(
+      key, [] { return std::make_shared<const Plan>(); }, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_NE(plan, nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.misses(), 2);
 }
 
 // --- Cache eviction (cache_policy.hpp) ---

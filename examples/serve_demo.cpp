@@ -149,8 +149,8 @@ int main() {
               static_cast<long long>(c.batches),
               static_cast<long long>(c.batched_requests),
               c.avg_batch_size());
-  // The full exposition: everything above plus caches, arena, queue, and
-  // latency histograms, in one scrape-able dump.
+  // The full exposition: everything above plus caches, queue, and latency
+  // histograms, in one scrape-able dump.
   print_metrics(server.metrics_text(), "",
                 "full metrics_text() exposition:");
 

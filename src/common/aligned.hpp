@@ -1,31 +1,15 @@
 // 64-byte-aligned value storage for the SIMD kernel tier.
 //
-// Two pieces:
-//
-//   MemoryPool — the minimal recycling interface the runtime's Arena
-//   (src/runtime/arena.hpp) implements. The allocator below optionally
-//   carries a shared_ptr to one, so containers whose buffers should be
-//   recycled across requests (the batcher's gather/scatter payloads) use
-//   the same vector types as everything else. Implementations must be
-//   thread-safe and must hand out kValueAlign-aligned blocks.
-//
-//   AlignedAllocator / AlignedVec — a std::vector allocator that
-//   guarantees kValueAlign (one cache line, two AVX2 vectors) alignment
-//   whether or not a pool is attached. All dense/format value arrays use
-//   AlignedVec so vector loads in src/kernels start on aligned
-//   addresses and never split cache lines.
-//
-// Propagation traits are all true: moves and swaps are O(1) pointer
-// steals even between pool-backed and plain vectors, and a buffer always
-// returns to the pool it came from because the allocator (and its
-// shared_ptr) travels with the buffer. That shared_ptr also keeps the
-// pool alive until the last buffer is released, so a response vector may
-// outlive the Server whose arena allocated it.
+// AlignedAllocator / AlignedVec — a stateless std::vector allocator that
+// guarantees kValueAlign (one cache line, two AVX2 vectors) alignment.
+// All dense/format value arrays use AlignedVec so vector loads in
+// src/kernels start on aligned addresses and never split cache lines.
+// Every instance is interchangeable, so moves and swaps are O(1) pointer
+// steals and a buffer may be freed through any copy of the allocator.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <vector>
@@ -40,70 +24,40 @@ inline bool is_aligned(const void* p, std::size_t align = kValueAlign) {
   return reinterpret_cast<std::uintptr_t>(p) % align == 0;
 }
 
-// Recycling upstream for AlignedAllocator. acquire() returns a block of
-// at least `bytes` bytes aligned to kValueAlign; release() returns a
-// block acquired with the same byte count. Thread-safe by contract.
-class MemoryPool {
- public:
-  virtual ~MemoryPool() = default;
-  virtual void* acquire(std::size_t bytes) = 0;
-  virtual void release(void* p, std::size_t bytes) noexcept = 0;
-};
-
 template <class T>
 class AlignedAllocator {
   static_assert(alignof(T) <= kValueAlign, "over-aligned element type");
 
  public:
   using value_type = T;
-  // Propagate on every container operation: buffers keep the allocator
-  // (and pool) they were created with, and moves/swaps stay O(1).
-  using propagate_on_container_copy_assignment = std::true_type;
-  using propagate_on_container_move_assignment = std::true_type;
-  using propagate_on_container_swap = std::true_type;
-  using is_always_equal = std::false_type;
+  using is_always_equal = std::true_type;
 
   AlignedAllocator() noexcept = default;
-  explicit AlignedAllocator(std::shared_ptr<MemoryPool> pool) noexcept
-      : pool_(std::move(pool)) {}
   template <class U>
-  AlignedAllocator(const AlignedAllocator<U>& other) noexcept
-      : pool_(other.pool()) {}
+  AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
 
   T* allocate(std::size_t n) {
-    const std::size_t bytes = padded_bytes(n);
-    if (pool_) return static_cast<T*>(pool_->acquire(bytes));
     return static_cast<T*>(
-        ::operator new(bytes, std::align_val_t{kValueAlign}));
+        ::operator new(padded_bytes(n), std::align_val_t{kValueAlign}));
   }
 
   void deallocate(T* p, std::size_t n) noexcept {
-    const std::size_t bytes = padded_bytes(n);
-    if (pool_) {
-      pool_->release(p, bytes);
-      return;
-    }
-    ::operator delete(p, bytes, std::align_val_t{kValueAlign});
+    ::operator delete(p, padded_bytes(n), std::align_val_t{kValueAlign});
   }
 
-  const std::shared_ptr<MemoryPool>& pool() const noexcept { return pool_; }
-
-  // Allocators are interchangeable only when they draw from the same
-  // upstream; a pool-backed buffer must not be freed by `delete`.
-  friend bool operator==(const AlignedAllocator& a,
-                         const AlignedAllocator& b) noexcept {
-    return a.pool_ == b.pool_;
+  friend bool operator==(const AlignedAllocator&,
+                         const AlignedAllocator&) noexcept {
+    return true;
   }
 
  private:
-  // Round requests up to whole cache lines. Pools key their free lists
-  // by this padded size, so allocate/deallocate agree on the class.
+  // Round requests up to whole cache lines, so a buffer never shares its
+  // last line with another allocation; allocate and deallocate pass the
+  // same padded size to the sized aligned operator new/delete.
   static std::size_t padded_bytes(std::size_t n) {
     const std::size_t bytes = n * sizeof(T);
     return (bytes + kValueAlign - 1) / kValueAlign * kValueAlign;
   }
-
-  std::shared_ptr<MemoryPool> pool_;
 };
 
 template <class T>

@@ -52,11 +52,4 @@ int num_threads_override() {
   return std::max(g_override.load(std::memory_order_relaxed), 0);
 }
 
-int threads_per_worker(int pool_size) {
-  if (pool_size <= 1) return num_threads();
-  const int per_worker = std::max(1, hardware_threads() / pool_size);
-  // Never hand a worker more threads than a solo caller would get.
-  return std::min(per_worker, num_threads());
-}
-
 }  // namespace mt

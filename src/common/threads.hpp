@@ -8,10 +8,10 @@
 // Interplay with the serving runtime's worker pool (src/runtime): each
 // worker thread that calls a kernel opens its own OpenMP team, so the
 // process runs up to pool_size x num_threads() compute threads at once.
-// The pool therefore applies threads_per_worker() through set_num_threads()
-// while it is live — kernel teams x workers stay within the hardware
-// concurrency whenever the pool itself fits (each worker keeps at least
-// one thread) — and restores the previous override on shutdown. The cap is
+// The runtime's ThreadCapRegistry (runtime/server.cpp) therefore caps the
+// width through set_num_threads() while any multi-worker server is live —
+// hardware_threads() / (total live workers), at least one thread each —
+// and restores the saved override when the last one stops. The cap is
 // process-wide: kernels invoked directly while a capped pool is running
 // share the capped width.
 //
@@ -36,13 +36,5 @@ int num_threads_override();
 
 // Hardware parallelism available to this process (always >= 1).
 int hardware_threads();
-
-// Hardware thread budget for one of `pool_size` concurrent kernel callers:
-// always >= 1, so pool_size * threads_per_worker(pool_size) stays within
-// the hardware concurrency whenever pool_size itself fits (pool_size >
-// hardware_threads() degrades to one kernel thread per worker — the pool
-// itself already oversubscribes). With pool_size <= 1 this is just the
-// current num_threads() resolution.
-int threads_per_worker(int pool_size);
 
 }  // namespace mt

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "accel/config.hpp"
-#include "common/aligned.hpp"
 #include "common/types.hpp"
 #include "energy/energy_model.hpp"
 #include "exec/exec.hpp"
@@ -63,9 +62,6 @@ struct Job {
   const DenseMatrix* dense_b = nullptr;      // dense factor (B / U)
   const DenseMatrix* dense_c = nullptr;      // MTTKRP C
   const std::vector<value_t>* vec = nullptr; // SpMV input vector
-
-  // Allocator for dense output payloads (arena-backed under the server).
-  AlignedAllocator<value_t> alloc;
 
   // Model the device backends execute/price under; null falls back to the
   // paper defaults. Passed per job (not held by the backend) so a serving

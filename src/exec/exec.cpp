@@ -266,12 +266,11 @@ DenseMatrix mttkrp(const AnyTensor& x, const DenseMatrix& b,
 }
 
 DenseMatrix stack_columns(
-    const std::vector<const std::vector<value_t>*>& cols,
-    const AlignedAllocator<value_t>& alloc) {
+    const std::vector<const std::vector<value_t>*>& cols) {
   MT_REQUIRE(!cols.empty(), "stack_columns needs at least one vector");
   const index_t rows = static_cast<index_t>(cols.front()->size());
   const index_t n = static_cast<index_t>(cols.size());
-  DenseMatrix out(rows, n, 0.0f, alloc);
+  DenseMatrix out(rows, n);
   value_t* po = out.values().data();
   for (index_t j = 0; j < n; ++j) {
     const auto& col = *cols[static_cast<std::size_t>(j)];
@@ -284,8 +283,7 @@ DenseMatrix stack_columns(
   return out;
 }
 
-DenseMatrix concat_columns(const std::vector<const DenseMatrix*>& blocks,
-                           const AlignedAllocator<value_t>& alloc) {
+DenseMatrix concat_columns(const std::vector<const DenseMatrix*>& blocks) {
   MT_REQUIRE(!blocks.empty(), "concat_columns needs at least one block");
   const index_t rows = blocks.front()->rows();
   index_t total = 0;
@@ -293,7 +291,7 @@ DenseMatrix concat_columns(const std::vector<const DenseMatrix*>& blocks,
     MT_REQUIRE(b->rows() == rows, "concatenated blocks must share row count");
     total += b->cols();
   }
-  DenseMatrix out(rows, total, 0.0f, alloc);
+  DenseMatrix out(rows, total);
   value_t* po = out.values().data();
   index_t at = 0;
   for (const auto* b : blocks) {
@@ -309,11 +307,10 @@ DenseMatrix concat_columns(const std::vector<const DenseMatrix*>& blocks,
   return out;
 }
 
-DenseMatrix column_block(const DenseMatrix& m, index_t col0, index_t ncols,
-                         const AlignedAllocator<value_t>& alloc) {
+DenseMatrix column_block(const DenseMatrix& m, index_t col0, index_t ncols) {
   MT_REQUIRE(col0 >= 0 && ncols >= 0 && col0 + ncols <= m.cols(),
              "column block must lie inside the matrix");
-  DenseMatrix out(m.rows(), ncols, 0.0f, alloc);
+  DenseMatrix out(m.rows(), ncols);
   const value_t* pm = m.values().data();
   value_t* po = out.values().data();
   const index_t stride = m.cols();

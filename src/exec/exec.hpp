@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/aligned.hpp"
 #include "common/types.hpp"
 #include "convert/convert.hpp"
 #include "formats/dense.hpp"
@@ -136,23 +135,18 @@ DenseMatrix mttkrp(const AnyTensor& x, const DenseMatrix& b,
 // each caller's column block back out. These are the only places the
 // engine copies dense data on behalf of the batcher, kept here so the
 // layout convention (row-major, column j of request j) lives next to the
-// kernels that consume it. Each takes the allocator for the produced
-// matrix, so the serving runtime can draw these per-request payloads
-// from its slab-recycling arena instead of the global heap; the default
-// is a plain (pool-less) aligned allocation.
+// kernels that consume it. Every produced matrix is ordinary 64-byte
+// aligned storage (common/aligned.hpp).
 
 // Stacks n equal-length vectors as the n columns of a dense matrix.
 DenseMatrix stack_columns(
-    const std::vector<const std::vector<value_t>*>& cols,
-    const AlignedAllocator<value_t>& alloc = {});
+    const std::vector<const std::vector<value_t>*>& cols);
 
 // Concatenates matrices with equal row counts side by side ([B0 | B1 | …]).
-DenseMatrix concat_columns(const std::vector<const DenseMatrix*>& blocks,
-                           const AlignedAllocator<value_t>& alloc = {});
+DenseMatrix concat_columns(const std::vector<const DenseMatrix*>& blocks);
 
 // Copies columns [col0, col0 + ncols) of `m` into a new dense matrix.
-DenseMatrix column_block(const DenseMatrix& m, index_t col0, index_t ncols,
-                         const AlignedAllocator<value_t>& alloc = {});
+DenseMatrix column_block(const DenseMatrix& m, index_t col0, index_t ncols);
 
 // Copies column `c` of `m` out as a vector (an SpMV result un-stacked).
 std::vector<value_t> column_of(const DenseMatrix& m, index_t c);

@@ -50,11 +50,10 @@ DenseMatrix slice(const DenseMatrix& m, index_t r0, index_t nr, index_t c0,
 
 // O = A * B through the simulator, tiled to its single-tile envelope.
 SimRun sim_matmul(const DenseMatrix& a, const DenseMatrix& b,
-                  const AccelConfig& cfg,
-                  const AlignedAllocator<value_t>& alloc) {
+                  const AccelConfig& cfg) {
   const index_t m = a.rows(), k = a.cols(), n = b.cols();
   MT_REQUIRE(b.rows() == k, "sim matmul inner dimensions must agree");
-  SimRun run{DenseMatrix(m, n, 0.0f, alloc), 0};
+  SimRun run{DenseMatrix(m, n), 0};
   if (m == 0 || n == 0 || k == 0) return run;
   const index_t nt_max = std::min(n, cfg.num_pes);
   const index_t kt_max = std::min(k, cfg.buffer_elems());
@@ -135,7 +134,7 @@ class SimBackend final : public Backend {
                    "SpMV vector length must match the matrix columns");
         DenseMatrix bx(a.cols(), 1);
         std::copy(job.vec->begin(), job.vec->end(), bx.values().begin());
-        SimRun run = sim_matmul(a, bx, cfg, job.alloc);
+        SimRun run = sim_matmul(a, bx, cfg);
         cycles = run.cycles;
         r.output = column_of(run.out, 0);
         break;
@@ -152,7 +151,7 @@ class SimBackend final : public Backend {
         const DenseMatrix a = decode(*job.a);
         const DenseMatrix b =
             job.b != nullptr ? decode(*job.b) : *job.dense_b;
-        SimRun run = sim_matmul(a, b, cfg, job.alloc);
+        SimRun run = sim_matmul(a, b, cfg);
         cycles = run.cycles;
         r.output = std::move(run.out);
         break;
@@ -164,8 +163,7 @@ class SimBackend final : public Backend {
         r.dispatch.has_b = true;
         r.dispatch.given_b = format_of(*job.b);
         r.dispatch.ran_b = Format::kDense;
-        SimRun run =
-            sim_matmul(decode(*job.a), decode(*job.b), cfg, job.alloc);
+        SimRun run = sim_matmul(decode(*job.a), decode(*job.b), cfg);
         cycles = run.cycles;
         r.output = dense_to_csr(run.out);
         break;
@@ -175,8 +173,7 @@ class SimBackend final : public Backend {
                    "SpTTM job needs a tensor operand and a dense factor");
         r.dispatch.given_a = format_of(*job.x);
         const DenseTensor3 x = decode(*job.x);
-        SimRun run =
-            sim_matmul(unfold_xy_by_z(x), *job.dense_b, cfg, job.alloc);
+        SimRun run = sim_matmul(unfold_xy_by_z(x), *job.dense_b, cfg);
         cycles = run.cycles;
         DenseTensor3 y(x.dim_x(), x.dim_y(), job.dense_b->cols());
         std::copy(run.out.values().begin(), run.out.values().end(),
@@ -191,8 +188,7 @@ class SimBackend final : public Backend {
         r.dispatch.given_a = format_of(*job.x);
         const DenseTensor3 x = decode(*job.x);
         SimRun run = sim_matmul(unfold_x_by_yz(x),
-                                khatri_rao(*job.dense_b, *job.dense_c), cfg,
-                                job.alloc);
+                                khatri_rao(*job.dense_b, *job.dense_c), cfg);
         cycles = run.cycles;
         r.output = std::move(run.out);
         break;

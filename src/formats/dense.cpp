@@ -11,13 +11,6 @@ DenseMatrix::DenseMatrix(index_t rows, index_t cols, value_t fill)
   MT_REQUIRE(rows >= 0 && cols >= 0, "non-negative dimensions");
 }
 
-DenseMatrix::DenseMatrix(index_t rows, index_t cols, value_t fill,
-                         const AlignedAllocator<value_t>& alloc)
-    : rows_(rows), cols_(cols),
-      v_(static_cast<std::size_t>(rows * cols), fill, alloc) {
-  MT_REQUIRE(rows >= 0 && cols >= 0, "non-negative dimensions");
-}
-
 DenseMatrix DenseMatrix::from_values(index_t rows, index_t cols,
                                      std::vector<value_t> values) {
   MT_REQUIRE(static_cast<index_t>(values.size()) == rows * cols,

@@ -19,10 +19,6 @@ class DenseMatrix {
  public:
   DenseMatrix() = default;
   DenseMatrix(index_t rows, index_t cols, value_t fill = 0.0f);
-  // Allocator-taking overload: the serving runtime passes an arena-backed
-  // allocator so batch payload buffers are recycled across requests.
-  DenseMatrix(index_t rows, index_t cols, value_t fill,
-              const AlignedAllocator<value_t>& alloc);
 
   static DenseMatrix from_values(index_t rows, index_t cols,
                                  std::vector<value_t> values);

@@ -99,9 +99,6 @@ Server::Server(ServerOptions opts)
       accel_(opts_.accel),
       energy_(opts_.energy),
       fingerprint_(plan_fingerprint(opts_.accel, opts_.energy)),
-      arena_(opts_.arena.enabled
-                 ? std::make_shared<Arena>(opts_.arena.max_cached_bytes)
-                 : nullptr),
       trace_ring_(opts_.obs.trace_ring_capacity),
       plans_(opts_.caches.plan_limits),
       reps_(opts_.caches.conversion_limits),
@@ -130,8 +127,7 @@ Server::Server(ServerOptions opts)
   if (opts_.obs.metrics) {
     queue_wait_hist_ = &registry_.histogram("mt_serve_queue_wait_ns");
   }
-  if (opts_.cap_kernel_threads &&
-      (opts_.num_workers > 1 || opts_.shard_member)) {
+  if (opts_.num_workers > 1 || opts_.shard_member) {
     ThreadCapRegistry::instance().acquire(opts_.num_workers);
     capped_threads_ = true;
   }
@@ -642,7 +638,6 @@ void Server::stage_job(const Request& req, Slot& slot,
 
   exec::Job& job = slot.job;
   job.kernel = req.kernel;
-  job.alloc = dense_alloc();
   job.modeled_ns = plan.modeled_device_ns;
   // SimBackend reads the config while it runs; the window's snapshot
   // outlives every job of the window.
@@ -662,7 +657,7 @@ void Server::stage_job(const Request& req, Slot& slot,
         // Device backends take the SpMV job as-is: device-routed requests
         // never fuse, so there is no batch-timing bit contract to keep,
         // and the sim lowers SpMV to a k x 1 matmul anyway.
-        slot.staged_b = exec::stack_columns({&req.vec}, job.alloc);
+        slot.staged_b = exec::stack_columns({&req.vec});
         slot.unstack = true;
         job.kernel = Kernel::kSpMM;
         job.dense_b = &slot.staged_b;
@@ -765,12 +760,12 @@ void Server::run_fused(std::vector<Item>& window, std::vector<Slot>& slots,
       std::vector<const std::vector<value_t>*> cols;
       cols.reserve(members.size());
       for (const auto i : members) cols.push_back(&window[i].req.vec);
-      fused_b = exec::stack_columns(cols, dense_alloc());
+      fused_b = exec::stack_columns(cols);
     } else {
       std::vector<const DenseMatrix*> blocks;
       blocks.reserve(members.size());
       for (const auto i : members) blocks.push_back(&window[i].req.dense_b);
-      fused_b = exec::concat_columns(blocks, dense_alloc());
+      fused_b = exec::concat_columns(blocks);
     }
 
     const auto t_exec = now_ns();
@@ -805,8 +800,7 @@ void Server::run_fused(std::vector<Item>& window, std::vector<Slot>& slots,
       if (is_spmv) {
         resp.result = exec::column_of(fused_c, j_idx);
       } else {
-        resp.result = exec::column_block(fused_c, j_idx * width, width,
-                                         dense_alloc());
+        resp.result = exec::column_block(fused_c, j_idx * width, width);
       }
     }
     // Trace: plan/convert on the leader's trace, one group span covering
@@ -940,10 +934,10 @@ BatchItem Server::batch_item_for(const Request& r) const {
 
 std::vector<obs::MetricSnapshot> Server::metrics_snapshot() const {
   auto snap = registry_.snapshot();
-  // Pull-based series: levels owned by their structures (caches, arena,
-  // queue), sampled only here so steady-state serving never maintains
-  // them. Counters among them (hits, evictions) are monotone at the
-  // source, so the exported series is monotone too.
+  // Pull-based series: levels owned by their structures (caches, queue),
+  // sampled only here so steady-state serving never maintains them.
+  // Counters among them (hits, evictions) are monotone at the source, so
+  // the exported series is monotone too.
   std::vector<obs::MetricSnapshot> pulled;
   const auto add = [&pulled](const char* name, std::int64_t v,
                              obs::MetricSnapshot::Kind kind) {
@@ -970,18 +964,6 @@ std::vector<obs::MetricSnapshot> Server::metrics_snapshot() const {
         static_cast<std::int64_t>(reps_.size()));
   gauge("mt_conversion_cache_bytes",
         static_cast<std::int64_t>(reps_.bytes()));
-  if (arena_ != nullptr) {
-    const auto a = arena_->stats();
-    counter("mt_arena_fresh_allocs_total",
-            static_cast<std::int64_t>(a.fresh_allocs));
-    counter("mt_arena_reuses_total", static_cast<std::int64_t>(a.reuses));
-    gauge("mt_arena_cached_bytes",
-          static_cast<std::int64_t>(a.cached_bytes));
-    gauge("mt_arena_outstanding_blocks",
-          static_cast<std::int64_t>(a.outstanding));
-    gauge("mt_arena_budget_bytes",
-          static_cast<std::int64_t>(arena_->max_cached_bytes()));
-  }
   gauge("mt_queue_depth", static_cast<std::int64_t>(queue_.size()));
   gauge("mt_queue_capacity",
         static_cast<std::int64_t>(opts_.queue_capacity));

@@ -47,14 +47,12 @@
 #include <vector>
 
 #include "accel/config.hpp"
-#include "common/aligned.hpp"
 #include "common/thread_annotations.hpp"
 #include "energy/energy_model.hpp"
 #include "exec/backend.hpp"
 #include "exec/device_ring.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/arena.hpp"
 #include "runtime/batcher.hpp"
 #include "runtime/conversion_cache.hpp"
 #include "runtime/mpmc_queue.hpp"
@@ -143,16 +141,6 @@ struct BatchSettings {
   int window = 8;
 };
 
-// Dense payload recycling (runtime/arena.hpp): the batcher's fused
-// factors and every per-response dense block draw their 64-byte-aligned
-// storage from a server-owned slab arena, so steady-state serving stops
-// hitting the global allocator for payload-sized buffers. Off: plain
-// aligned heap allocations — identical bytes, no recycling.
-struct ArenaSettings {
-  bool enabled = true;
-  std::size_t max_cached_bytes = std::size_t{64} << 20;
-};
-
 // How requests pick between the host kernels and the configured device
 // backend. Routing happens at plan resolution, so it is part of the plan
 // key: the same workload routed to different substrates is two plans.
@@ -203,9 +191,7 @@ struct ServerOptions {
   std::size_t queue_capacity = 64;
   CacheSettings caches;
   BatchSettings batch;
-  ArenaSettings arena;
   BackendOptions backend;
-  bool cap_kernel_threads = true;    // keep workers x OpenMP width <= hw
   // Set by ShardedServer on its shards: join the process-wide kernel
   // thread budget even with a single worker, so N single-worker shards
   // count as N concurrent kernel callers (a lone 1-worker Server has
@@ -313,8 +299,6 @@ class Server {
   const ConversionCache& conversion_cache() const { return reps_; }
   // The options as given at construction.
   const ServerOptions& options() const { return opts_; }
-  // The payload arena, or null when ServerOptions::arena.enabled is off.
-  const std::shared_ptr<Arena>& arena() const { return arena_; }
   // The async submission ring, or null unless a device backend with
   // backend.async is configured. Exposed for its RingStats (the in-flight
   // high-water mark the async acceptance gates on).
@@ -322,11 +306,11 @@ class Server {
 
   // Full telemetry snapshot: every registry metric (counters and the
   // ObsOptions::metrics histograms) plus pull-based gauges sampled now —
-  // cache hit/miss/eviction/entries/bytes, arena reuse/alloc/budget,
-  // queue depth/capacity, kernel-thread width, trace-ring drops. Merged
-  // shard reads carry the obs/metrics.hpp weak-consistency contract;
-  // the pulled gauges carry queue_depth()'s (each exact at its own read
-  // point, jointly from no single instant).
+  // cache hit/miss/eviction/entries/bytes, queue depth/capacity,
+  // kernel-thread width, trace-ring drops. Merged shard reads carry the
+  // obs/metrics.hpp weak-consistency contract; the pulled gauges carry
+  // queue_depth()'s (each exact at its own read point, jointly from no
+  // single instant).
   std::vector<obs::MetricSnapshot> metrics_snapshot() const;
   // The snapshot rendered for scraping (obs/export.hpp).
   std::string metrics_text() const;
@@ -440,11 +424,6 @@ class Server {
   // exec::PricingInput — a relative scale for ranking backends, not an
   // absolute prediction.
   std::int64_t flops_for(const Request& r) const;
-  // Allocator for dense payloads and response blocks: arena-backed when
-  // the arena is on, a plain aligned allocator otherwise.
-  AlignedAllocator<value_t> dense_alloc() const {
-    return arena_ ? arena_allocator(arena_) : AlignedAllocator<value_t>{};
-  }
   ModelSnapshot model_snapshot() const;
   PlanCache::PlanPtr resolve_plan(const Request& r, ServeStats& s,
                                   const ModelSnapshot& model,
@@ -492,11 +471,6 @@ class Server {
       MT_GUARDED_BY(reg_mu_);
   std::unordered_map<std::uint64_t, ConversionCache::TensorPtr> tensors_
       MT_GUARDED_BY(reg_mu_);
-
-  // Payload arena (null when opts_.arena.enabled is false). Shared: response
-  // buffers carry the shared_ptr through their allocator, so client-held
-  // results stay valid after the server dies.
-  std::shared_ptr<Arena> arena_;
 
   // Telemetry. Declared before counters_: ServerCounters is a view over
   // registry_ and binds its counters at construction.

@@ -328,8 +328,7 @@ TEST(ServerObs, MetricsTextCoversEverySubsystem) {
   EXPECT_NE(text.find("mt_conversion_cache_bytes"), std::string::npos);
   EXPECT_NE(text.find("mt_conversion_cache_evictions_total"),
             std::string::npos);
-  // Arena, queue, thread width.
-  EXPECT_NE(text.find("mt_arena_budget_bytes"), std::string::npos);
+  // Queue, thread width.
   EXPECT_NE(text.find("mt_queue_depth 0"), std::string::npos);
   EXPECT_NE(text.find("mt_kernel_threads"), std::string::npos);
   // Per-kernel x format x tier exec histograms and per-plan accumulators.

@@ -23,7 +23,9 @@
 //
 // A second array, "planner", times the first-touch planning path on one
 // seeded operand (1024 x 1024 at 5% in full mode): each sage_select_*
-// search in ms per call, and each MCF -> COO decode in ns per nonzero.
+// search in ms per call on the CSR operands the server plans on, each
+// MCF -> CSR conversion (the one decode a served operand pays) and each
+// MCF -> COO decode in ns per nonzero.
 // check_bench.py prints these next to the committed values without
 // gating them; a planner that falls back to comparison sorts or dense
 // decodes shows up there as a several-fold jump.
@@ -210,19 +212,22 @@ int main(int argc, char** argv) {
     const index_t n_plan = smoke ? 128 : 1024;
     const std::int64_t nnz_plan = n_plan * n_plan / 20;
     const auto pa = synth_coo_matrix(n_plan, n_plan, nnz_plan, 15);
-    const auto pb = synth_coo_matrix(n_plan, n_plan, nnz_plan, 16);
+    const auto pa_csr = CsrMatrix::from_coo(pa);
+    const auto pb_csr =
+        CsrMatrix::from_coo(synth_coo_matrix(n_plan, n_plan, nnz_plan, 16));
     const AccelConfig cfg;
     const EnergyParams energy;
     const int plan_reps = smoke ? 1 : 5;
     planner.push_back(
         {"sage_select_matmul",
-         time_ms([&] { (void)sage_select_matmul(pa, pb, cfg, energy); }, 1,
-                 plan_reps),
+         time_ms([&] { (void)sage_select_matmul(pa_csr, pb_csr, cfg, energy); },
+                 1, plan_reps),
          "ms/call"});
     planner.push_back(
         {"sage_select_spmm_dense_b",
-         time_ms([&] { (void)sage_select_spmm_dense_b(pa, 16, cfg, energy); },
-                 1, plan_reps),
+         time_ms([&] {
+           (void)sage_select_spmm_dense_b(pa_csr, 16, cfg, energy);
+         }, 1, plan_reps),
          "ms/call"});
     planner.push_back(
         {"sage_select_tensor",
@@ -231,13 +236,19 @@ int main(int argc, char** argv) {
          }, 1, plan_reps),
          "ms/call"});
     const AnyMatrix hub{pa};
-    for (Format f : {Format::kDense, Format::kCSR, Format::kCSC, Format::kRLC,
-                     Format::kZVC, Format::kBSR, Format::kDIA, Format::kELL}) {
-      const AnyMatrix src = convert(hub, f);
-      const double ms =
-          time_ms([&] { (void)convert(src, Format::kCOO); }, 1, plan_reps);
-      planner.push_back({"convert_" + std::string(name_of(f)) + "_to_COO",
-                         ms * 1e6 / static_cast<double>(nnz_plan), "ns/nnz"});
+    for (Format to : {Format::kCSR, Format::kCOO}) {
+      for (Format f : {Format::kDense, Format::kCOO, Format::kCSR,
+                       Format::kCSC, Format::kRLC, Format::kZVC, Format::kBSR,
+                       Format::kDIA, Format::kELL}) {
+        if (f == to) continue;
+        const AnyMatrix src = convert(hub, f);
+        const double ms =
+            time_ms([&] { (void)convert(src, to); }, 1, plan_reps);
+        planner.push_back({"convert_" + std::string(name_of(f)) + "_to_" +
+                               std::string(name_of(to)),
+                           ms * 1e6 / static_cast<double>(nnz_plan),
+                           "ns/nnz"});
+      }
     }
   }
 

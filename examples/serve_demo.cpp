@@ -80,7 +80,7 @@ int main() {
   print_metrics(server.metrics_text(), "mt_serve_plan_",
                 "the second request was a plan-cache hit:");
 
-  // --- An SpMM on the same operand reuses its cached COO rep for SAGE ---
+  // --- An SpMM on the same operand reuses its cached CSR rep for SAGE ---
   Request mm;
   mm.kernel = Kernel::kSpMM;
   mm.a = a;

@@ -42,29 +42,40 @@ void finalize(PerfResult& r, const AccelConfig& cfg, const EnergyParams& e,
       onchip_energy(e, cfg, r.performed_macs, r.streamed_elems, loaded, drained);
 }
 
-// One sweep over A's row-major entries. Columns ascend within a row, so a
-// row's entries in one K pass are one contiguous segment: one row run of
-// that pass's stream, at most kt long. Each segment divides once, not
-// once per nonzero.
-std::vector<PassStream> stream_by_pass(const CooMatrix& a, index_t kt,
+// Packets of a row run of `len` (>= 1) elements at `cap` per packet.
+// Runs in sparse operands rarely fill a packet, so they skip the divide.
+std::int64_t run_packets(std::int64_t len, index_t cap) {
+  return len <= cap ? 1 : ceil_div(len, cap);
+}
+
+// One sweep over A's rows. Columns ascend within a row, so a row's
+// entries in one K pass are one contiguous segment: one row run of that
+// pass's stream, at most kt long. A row's next segment usually starts in
+// the next pass, so only a gap of a whole pass or more divides.
+std::vector<PassStream> stream_by_pass(const CsrMatrix& a, index_t kt,
                                        std::int64_t k_passes, index_t cap) {
   std::vector<PassStream> ps(static_cast<std::size_t>(k_passes));
-  const auto& rows = a.row_ids();
+  const auto& ptr = a.row_ptr();
   const auto& cols = a.col_ids();
-  for (std::int64_t i = 0, end = a.nnz(); i < end;) {
-    const index_t r = rows[static_cast<std::size_t>(i)];
-    const index_t p = cols[static_cast<std::size_t>(i)] / kt;
-    const index_t pass_end = (p + 1) * kt;
-    std::int64_t j = i + 1;
-    while (j < end && rows[static_cast<std::size_t>(j)] == r &&
-           cols[static_cast<std::size_t>(j)] < pass_end) {
-      ++j;
+  for (index_t r = 0; r < a.rows(); ++r) {
+    const index_t end = ptr[static_cast<std::size_t>(r) + 1];
+    index_t i = ptr[static_cast<std::size_t>(r)];
+    if (i == end) continue;
+    index_t p = cols[static_cast<std::size_t>(i)] / kt;
+    index_t pass_end = (p + 1) * kt;
+    for (;;) {
+      index_t j = i + 1;
+      while (j < end && cols[static_cast<std::size_t>(j)] < pass_end) ++j;
+      PassStream& s = ps[static_cast<std::size_t>(p)];
+      s.cycles += run_packets(j - i, cap);
+      s.elems += j - i;
+      ++s.rows_touched;
+      if (j == end) break;
+      const index_t c = cols[static_cast<std::size_t>(j)];
+      p = c < pass_end + kt ? p + 1 : c / kt;
+      pass_end = (p + 1) * kt;
+      i = j;
     }
-    PassStream& s = ps[static_cast<std::size_t>(p)];
-    s.cycles += ceil_div(j - i, cap);
-    s.elems += j - i;
-    ++s.rows_touched;
-    i = j;
   }
   return ps;
 }
@@ -76,10 +87,10 @@ struct StreamCost {
   std::int64_t rows_touched = 0;
 };
 
-StreamCost stream_cost(const CooMatrix& a, Format acf_a, const PassStream& ps,
+StreamCost stream_cost(index_t a_rows, Format acf_a, const PassStream& ps,
                        index_t kh, index_t cap) {
   if (acf_a == Format::kDense) {
-    return {a.rows() * ceil_div(kh, cap), a.rows() * kh, a.rows()};
+    return {a_rows * ceil_div(kh, cap), a_rows * kh, a_rows};
   }
   if (acf_a == Format::kCSR) return {ps.cycles, ps.elems, ps.rows_touched};
   // COO: triplets may mix rows freely.
@@ -87,10 +98,6 @@ StreamCost stream_cost(const CooMatrix& a, Format acf_a, const PassStream& ps,
 }
 
 }  // namespace
-
-PassStreams::PassStreams(const CooMatrix& a) : a_(a) {
-  MT_REQUIRE(a.is_row_major_sorted(), "A must be row-major sorted COO");
-}
 
 const std::vector<PassStream>& PassStreams::at(index_t kt,
                                                const AccelConfig& cfg) {
@@ -105,37 +112,77 @@ const std::vector<PassStream>& PassStreams::at(index_t kt,
   return sweeps_.back().passes;
 }
 
-MatmulOperands::MatmulOperands(const CooMatrix& a_in, const CooMatrix& b)
-    : a_streams(a_in), n(b.cols()), b_nnz(b.nnz()) {
-  MT_REQUIRE(a_in.cols() == b.rows(), "inner dimensions must agree");
-  a_col_nnz.assign(static_cast<std::size_t>(a_in.cols()), 0);
-  for (index_t c : a_in.col_ids()) ++a_col_nnz[static_cast<std::size_t>(c)];
+MatmulOperands::MatmulOperands(const CsrMatrix& a, const CsrMatrix& b)
+    : a_streams(a), n(b.cols()), b_nnz(b.nnz()) {
+  MT_REQUIRE(a.cols() == b.rows(), "inner dimensions must agree");
+  a_col_nnz.assign(static_cast<std::size_t>(a.cols()), 0);
+  for (index_t c : a.col_ids()) ++a_col_nnz[static_cast<std::size_t>(c)];
 
-  // One stable counting pass by column over a row-major B leaves the row
-  // ids ascending within every column.
-  CooMatrix sorted;
-  const CooMatrix* rm = &b;
-  if (!b.is_row_major_sorted()) {
-    sorted = b;
-    sorted.sort_row_major();
-    rm = &sorted;
-  }
+  // One counting pass by column over B's rows leaves the row ids
+  // ascending within every column.
   b_col_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t c : rm->col_ids()) ++b_col_ptr[static_cast<std::size_t>(c) + 1];
+  for (index_t c : b.col_ids()) ++b_col_ptr[static_cast<std::size_t>(c) + 1];
   std::partial_sum(b_col_ptr.begin(), b_col_ptr.end(), b_col_ptr.begin());
   std::vector<index_t> cursor(b_col_ptr.begin(), b_col_ptr.end() - 1);
   b_row_ids.resize(static_cast<std::size_t>(b_nnz));
-  for (std::int64_t i = 0; i < b_nnz; ++i) {
-    const auto c = static_cast<std::size_t>(rm->col_ids()[i]);
-    b_row_ids[static_cast<std::size_t>(cursor[c]++)] = rm->row_ids()[i];
+  const auto& ptr = b.row_ptr();
+  const auto& cols = b.col_ids();
+  for (index_t r = 0; r < b.rows(); ++r) {
+    const index_t begin = ptr[static_cast<std::size_t>(r)];
+    const index_t end = ptr[static_cast<std::size_t>(r) + 1];
+    useful_macs += (end - begin) * a_col_nnz[static_cast<std::size_t>(r)];
+    for (index_t i = begin; i < end; ++i) {
+      const auto c = static_cast<std::size_t>(cols[static_cast<std::size_t>(i)]);
+      b_row_ids[static_cast<std::size_t>(cursor[c]++)] = r;
+    }
   }
+}
+
+const std::vector<CscPassLoad>& MatmulOperands::csc_loads(index_t kt,
+                                                          index_t num_pes) {
+  for (const auto& s : csc_sweeps_) {
+    if (s.kt == kt && s.num_pes == num_pes) return s.loads;
+  }
+  const std::int64_t k_passes = ceil_div(a_streams.a().cols(), kt);
+  std::vector<CscPassLoad> loads(
+      static_cast<std::size_t>(ceil_div(n, num_pes) * k_passes));
+  // Rows ascend within a column, so each of a column's K passes is one
+  // contiguous run of its row ids: that PE's whole load in the pass.
+  for (index_t j = 0; j < n; ++j) {
+    CscPassLoad* tile = &loads[static_cast<std::size_t>(j / num_pes * k_passes)];
+    const index_t end = b_col_ptr[static_cast<std::size_t>(j) + 1];
+    for (index_t i = b_col_ptr[static_cast<std::size_t>(j)]; i < end;) {
+      const index_t p = b_row_ids[static_cast<std::size_t>(i)] / kt;
+      const index_t pass_end = (p + 1) * kt;
+      std::int64_t nnz = 0;
+      std::int64_t useful = 0;
+      for (; i < end && b_row_ids[static_cast<std::size_t>(i)] < pass_end; ++i) {
+        ++nnz;
+        useful += a_col_nnz[static_cast<std::size_t>(
+            b_row_ids[static_cast<std::size_t>(i)])];
+      }
+      CscPassLoad& l = tile[p];
+      l.load_elems += 2 * nnz;
+      l.max_pe_nnz = std::max(l.max_pe_nnz, nnz);
+      l.max_pe_useful = std::max(l.max_pe_useful, useful);
+    }
+  }
+  csc_sweeps_.push_back({kt, num_pes, std::move(loads)});
+  return csc_sweeps_.back().loads;
+}
+
+PerfResult model_matmul(const CsrMatrix& a, const CsrMatrix& b, Format acf_a,
+                        Format acf_b, const AccelConfig& cfg,
+                        const EnergyParams& energy) {
+  MatmulOperands ops(a, b);
+  return model_matmul(ops, acf_a, acf_b, cfg, energy);
 }
 
 PerfResult model_matmul(const CooMatrix& a, const CooMatrix& b, Format acf_a,
                         Format acf_b, const AccelConfig& cfg,
                         const EnergyParams& energy) {
-  MatmulOperands ops(a, b);
-  return model_matmul(ops, acf_a, acf_b, cfg, energy);
+  return model_matmul(CsrMatrix::from_coo(a), CsrMatrix::from_coo(b), acf_a,
+                      acf_b, cfg, energy);
 }
 
 PerfResult model_matmul(MatmulOperands& ops, Format acf_a, Format acf_b,
@@ -144,8 +191,8 @@ PerfResult model_matmul(MatmulOperands& ops, Format acf_a, Format acf_b,
   MT_REQUIRE(is_stream_acf(acf_a), "A must use a streaming ACF");
   MT_REQUIRE(is_stationary_acf(acf_b), "B must use a stationary ACF");
 
-  const CooMatrix& a = ops.a_streams.a();
-  const index_t k = a.cols();
+  const index_t m = ops.a_streams.a().rows();
+  const index_t k = ops.a_streams.a().cols();
   const index_t n = ops.n;
   const index_t slots = cfg.bus_slots();
   const index_t buf = cfg.buffer_elems();
@@ -172,17 +219,15 @@ PerfResult model_matmul(MatmulOperands& ops, Format acf_a, Format acf_b,
   res.k_passes = ceil_div(k, kt);
   const auto& pass_stream = ops.a_streams.at(kt, cfg);
 
-  // Per-pass load and match counts of B's nonzeros in the current tile,
-  // refilled tile by tile from B's columns. Rows ascend within a column,
-  // so a column's pass index only grows and its per-PE work is complete
-  // when the pass changes.
-  struct PassLoad {
-    std::int64_t load_elems = 0;
-    std::int64_t max_pe_performed = 0;
-    std::int64_t performed = 0;
-    std::int64_t useful = 0;
-  };
-  std::vector<PassLoad> pass_load(static_cast<std::size_t>(res.k_passes));
+  // Every ACF pair matches the same pairs of nonzeros. A CSC B performs
+  // one MAC per match, or one per A row under a Dense-ACF A; a Dense B
+  // performs one per streamed element per PE (counted per pass below).
+  const bool csc_b = acf_b == Format::kCSC;
+  const bool dense_a = acf_a == Format::kDense;
+  const std::vector<CscPassLoad>* csc =
+      csc_b ? &ops.csc_loads(kt, cfg.num_pes) : nullptr;
+  res.useful_macs = ops.useful_macs;
+  if (csc_b) res.performed_macs = dense_a ? m * ops.b_nnz : ops.useful_macs;
 
   std::int64_t loaded_total = 0;
   std::int64_t drained_total = 0;
@@ -190,62 +235,30 @@ PerfResult model_matmul(MatmulOperands& ops, Format acf_a, Format acf_b,
   for (index_t t = 0; t < res.n_tiles; ++t) {
     const index_t j0 = t * cfg.num_pes;
     const index_t j1 = std::min(j0 + cfg.num_pes, n);
-    std::fill(pass_load.begin(), pass_load.end(), PassLoad{});
-    for (index_t j = j0; j < j1; ++j) {
-      index_t cur_pass = -1;
-      index_t cur_pass_end = 0;  // first K row past cur_pass
-      std::int64_t cur_pe_perf = 0;
-      const auto flush = [&] {
-        if (cur_pass < 0) return;
-        auto& m = pass_load[static_cast<std::size_t>(cur_pass)].max_pe_performed;
-        m = std::max(m, cur_pe_perf);
-      };
-      for (index_t i = ops.b_col_ptr[static_cast<std::size_t>(j)];
-           i < ops.b_col_ptr[static_cast<std::size_t>(j) + 1]; ++i) {
-        const index_t kk = ops.b_row_ids[static_cast<std::size_t>(i)];
-        if (kk >= cur_pass_end) {
-          flush();
-          cur_pass = kk / kt;
-          cur_pass_end = (cur_pass + 1) * kt;
-          cur_pe_perf = 0;
-        }
-        PassLoad& pl = pass_load[static_cast<std::size_t>(cur_pass)];
-        const std::int64_t useful = ops.a_col_nnz[static_cast<std::size_t>(kk)];
-        const std::int64_t mult = acf_a == Format::kDense ? a.rows() : useful;
-        if (acf_b == Format::kCSC) {
-          pl.load_elems += 2;
-          cur_pe_perf += mult;
-          pl.performed += mult;
-        }
-        pl.useful += useful;
-      }
-      flush();
-    }
-
     for (index_t p = 0; p < res.k_passes; ++p) {
       const index_t k0 = p * kt;
       const index_t k1 = std::min(k0 + kt, k);
       const auto& ps = pass_stream[static_cast<std::size_t>(p)];
-      const auto& pl = pass_load[static_cast<std::size_t>(p)];
 
       // --- Stream ---
-      const StreamCost s = stream_cost(a, acf_a, ps, k1 - k0, cap);
+      const StreamCost s = stream_cost(m, acf_a, ps, k1 - k0, cap);
       res.phases.stream_cycles += s.cycles;
       res.streamed_elems += s.streamed;
 
       // --- Load + match counting over B's nonzeros in this tile/pass ---
-      std::int64_t load_elems = pl.load_elems;
-      std::int64_t max_pe_performed = pl.max_pe_performed;
-      std::int64_t tile_performed = pl.performed;
-      if (acf_b == Format::kDense) {
+      std::int64_t load_elems = 0;
+      std::int64_t max_pe_performed = 0;
+      if (csc_b) {
+        const auto& l = (*csc)[static_cast<std::size_t>(t * res.k_passes + p)];
+        load_elems = l.load_elems;
+        max_pe_performed = dense_a ? m * l.max_pe_nnz : l.max_pe_useful;
+      } else {
         // Every PE holds the full K-range column and MACs every streamed
         // element, zeros in the buffer included.
         load_elems = (j1 - j0) * (k1 - k0);
         max_pe_performed = s.streamed;
-        tile_performed = s.streamed * (j1 - j0);
+        res.performed_macs += s.streamed * (j1 - j0);
       }
-      res.performed_macs += tile_performed;
-      res.useful_macs += pl.useful;
       loaded_total += load_elems;
       res.phases.load_cycles += ceil_div(load_elems, slots);
 
@@ -265,11 +278,18 @@ PerfResult model_matmul(MatmulOperands& ops, Format acf_a, Format acf_b,
   return res;
 }
 
-PerfResult model_matmul_dense_b(const CooMatrix& a, index_t n, Format acf_a,
+PerfResult model_matmul_dense_b(const CsrMatrix& a, index_t n, Format acf_a,
                                 Format acf_b, const AccelConfig& cfg,
                                 const EnergyParams& energy) {
   PassStreams streams(a);
   return model_matmul_dense_b(streams, n, acf_a, acf_b, cfg, energy);
+}
+
+PerfResult model_matmul_dense_b(const CooMatrix& a, index_t n, Format acf_a,
+                                Format acf_b, const AccelConfig& cfg,
+                                const EnergyParams& energy) {
+  return model_matmul_dense_b(CsrMatrix::from_coo(a), n, acf_a, acf_b, cfg,
+                              energy);
 }
 
 PerfResult model_matmul_dense_b(PassStreams& streams, index_t n, Format acf_a,
@@ -280,8 +300,8 @@ PerfResult model_matmul_dense_b(PassStreams& streams, index_t n, Format acf_a,
   MT_REQUIRE(is_stream_acf(acf_a), "A must use a streaming ACF");
   MT_REQUIRE(is_stationary_acf(acf_b), "B must use a stationary ACF");
 
-  const CooMatrix& a = streams.a();
-  const index_t k = a.cols();
+  const index_t m = streams.a().rows();
+  const index_t k = streams.a().cols();
   const index_t slots = cfg.bus_slots();
   const index_t buf = cfg.buffer_elems();
   const index_t cap = payload_per_packet(acf_a, cfg);
@@ -305,7 +325,7 @@ PerfResult model_matmul_dense_b(PassStreams& streams, index_t n, Format acf_a,
       const index_t k1 = std::min(k0 + kt, k);
       const auto& ps = pass_stream[static_cast<std::size_t>(p)];
 
-      const StreamCost s = stream_cost(a, acf_a, ps, k1 - k0, cap);
+      const StreamCost s = stream_cost(m, acf_a, ps, k1 - k0, cap);
       res.phases.stream_cycles += s.cycles;
       res.streamed_elems += s.streamed;
 

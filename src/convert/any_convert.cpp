@@ -206,6 +206,8 @@ AnyMatrix convert(const AnyMatrix& m, Format target) {
     }
     CooMatrix hub = hub_to_coo(m);
     if (target == Format::kCOO) return AnyMatrix(std::move(hub));
+    // The hub is a temporary: CSR takes over its column ids.
+    if (target == Format::kCSR) return CsrMatrix::from_coo(std::move(hub));
     return hub_from_coo(hub, target);
   }
   return encode(decode(m), target);

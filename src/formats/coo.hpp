@@ -48,6 +48,9 @@ class CooMatrix {
   StorageSize storage(DataType dt) const;
 
  private:
+  // CsrMatrix::from_coo(CooMatrix&&) takes over the column ids.
+  friend class CsrMatrix;
+
   // Scans the entries for strictly ascending (row, col) order.
   bool scan_row_major() const;
 

@@ -46,15 +46,24 @@ CsrMatrix CsrMatrix::from_dense(const DenseMatrix& d) {
 }
 
 CsrMatrix CsrMatrix::from_coo(const CooMatrix& c) {
-  CooMatrix sorted = c;
-  if (!sorted.is_row_major_sorted()) sorted.sort_row_major();
+  if (!c.is_row_major_sorted()) return from_coo(CooMatrix(c));
+  return from_sorted_coo(c, c.col_ids());
+}
+
+CsrMatrix CsrMatrix::from_coo(CooMatrix&& c) {
+  if (!c.is_row_major_sorted()) c.sort_row_major();
+  return from_sorted_coo(c, std::move(c.col_));
+}
+
+CsrMatrix CsrMatrix::from_sorted_coo(const CooMatrix& c,
+                                     std::vector<index_t> col_ids) {
   CsrMatrix m;
-  m.rows_ = sorted.rows();
-  m.cols_ = sorted.cols();
+  m.rows_ = c.rows();
+  m.cols_ = c.cols();
   m.row_ptr_.assign(static_cast<std::size_t>(m.rows_) + 1, 0);
-  m.col_ = sorted.col_ids();
-  m.val_.assign(sorted.values().begin(), sorted.values().end());
-  for (index_t r : sorted.row_ids()) ++m.row_ptr_[static_cast<std::size_t>(r) + 1];
+  m.col_ = std::move(col_ids);
+  m.val_.assign(c.values().begin(), c.values().end());
+  for (index_t r : c.row_ids()) ++m.row_ptr_[static_cast<std::size_t>(r) + 1];
   for (index_t r = 0; r < m.rows_; ++r) {
     m.row_ptr_[static_cast<std::size_t>(r) + 1] += m.row_ptr_[static_cast<std::size_t>(r)];
   }

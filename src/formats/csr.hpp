@@ -33,7 +33,10 @@ class CsrMatrix {
                                       std::vector<index_t> col_ids,
                                       AlignedVec<value_t> values);
   static CsrMatrix from_dense(const DenseMatrix& d);
+  // Row-major sorted input is read in place; other input is copied and
+  // sorted. The rvalue overload sorts in place and keeps the column ids.
   static CsrMatrix from_coo(const CooMatrix& c);
+  static CsrMatrix from_coo(CooMatrix&& c);
 
   DenseMatrix to_dense() const;
   CooMatrix to_coo() const;
@@ -52,6 +55,10 @@ class CsrMatrix {
   StorageSize storage(DataType dt) const;
 
  private:
+  // CSR of row-major sorted `c` whose column ids are `col_ids`.
+  static CsrMatrix from_sorted_coo(const CooMatrix& c,
+                                   std::vector<index_t> col_ids);
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<index_t> row_ptr_;  // rows + 1

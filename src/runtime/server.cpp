@@ -32,12 +32,6 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-const CooMatrix& as_coo(const AnyMatrix& m) {
-  const auto* coo = std::get_if<CooMatrix>(&m);
-  MT_ENSURE(coo != nullptr, "SAGE input representation must be COO");
-  return *coo;
-}
-
 const CooTensor3& as_coo(const AnyTensor& t) {
   const auto* coo = std::get_if<CooTensor3>(&t);
   MT_ENSURE(coo != nullptr, "SAGE input representation must be COO");
@@ -350,17 +344,18 @@ PlanCache::PlanPtr Server::compute_plan(const Request& r, ServeStats& s,
       plan->run_a = plan->run_b = Format::kDense;
       break;
     case Kernel::kSpMV: {
-      const auto a = matrix_rep(r.a, Format::kCOO, s);
-      plan->choice = sage_select_spmm_dense_b(as_coo(*a), 1, accel,
-                                              energy);
+      const auto a = matrix_rep(r.a, Format::kCSR, s);
+      plan->choice =
+          sage_select_spmm_dense_b(std::get<CsrMatrix>(*a), 1, accel, energy);
       plan->run_a = exec::runnable(Kernel::kSpMV, plan->choice.acf_a);
       break;
     }
     case Kernel::kSpMM: {
-      const auto a = matrix_rep(r.a, Format::kCOO, s);
+      const auto a = matrix_rep(r.a, Format::kCSR, s);
       if (r.b.valid()) {
-        const auto b = matrix_rep(r.b, Format::kCOO, s);
-        plan->choice = sage_select_matmul(as_coo(*a), as_coo(*b), accel,
+        const auto b = matrix_rep(r.b, Format::kCSR, s);
+        plan->choice = sage_select_matmul(std::get<CsrMatrix>(*a),
+                                          std::get<CsrMatrix>(*b), accel,
                                           energy);
         // Plan onto the pair the engine runs natively, so serving never
         // pays its per-call conversion fallback.
@@ -368,7 +363,7 @@ PlanCache::PlanPtr Server::compute_plan(const Request& r, ServeStats& s,
             exec::runnable_pair(plan->choice.acf_a, plan->choice.acf_b);
       } else {
         plan->choice = sage_select_spmm_dense_b(
-            as_coo(*a), r.dense_b.cols(), accel, energy);
+            std::get<CsrMatrix>(*a), r.dense_b.cols(), accel, energy);
         plan->run_a = exec::runnable(Kernel::kSpMM, plan->choice.acf_a);
         // The factor arrives dense in the request body and is consumed
         // dense; only registered operands go through the conversion cache.
@@ -377,11 +372,12 @@ PlanCache::PlanPtr Server::compute_plan(const Request& r, ServeStats& s,
       break;
     }
     case Kernel::kSpGEMM: {
-      const auto a = matrix_rep(r.a, Format::kCOO, s);
-      const auto b = matrix_rep(r.b, Format::kCOO, s);
+      const auto a = matrix_rep(r.a, Format::kCSR, s);
+      const auto b = matrix_rep(r.b, Format::kCSR, s);
       // Priced for the stats/describe; the engine's native SpGEMM pair is
       // CSR x CSR, so that is what the server executes and caches.
-      plan->choice = sage_select_matmul(as_coo(*a), as_coo(*b), accel,
+      plan->choice = sage_select_matmul(std::get<CsrMatrix>(*a),
+                                        std::get<CsrMatrix>(*b), accel,
                                         energy);
       plan->run_a = plan->run_b = Format::kCSR;
       break;
@@ -418,16 +414,25 @@ PlanCache::PlanPtr Server::compute_plan(const Request& r, ServeStats& s,
           static_cast<std::int64_t>(std::llround(plan->device_cost_ns));
     }
   }
-  if (opts_.obs.metrics) {
-    // Per-plan latency accumulator, labeled by the plan key's fingerprint.
-    // Re-deriving an evicted plan rebinds the same histogram, so a plan's
-    // measured distribution survives cache churn — exactly what the
-    // adaptive planner wants to learn from.
-    const auto fp = static_cast<std::uint64_t>(PlanKeyHash{}(key));
-    plan->latency = &registry_.histogram("mt_plan_exec_ns{plan=\"" +
-                                         hex64(fp) + "\"}");
-  }
+  if (opts_.obs.metrics) plan->latency = &plan_latency(key);
   return plan;
+}
+
+obs::Histogram& Server::plan_latency(const PlanKey& key) {
+  // Labeled by the plan key's fingerprint. Re-deriving an evicted plan
+  // rebinds the same histogram, so a plan's measured distribution survives
+  // cache churn — exactly what the adaptive planner wants to learn from.
+  const auto fp = static_cast<std::uint64_t>(PlanKeyHash{}(key));
+  LockGuard lk(plan_series_mu_);
+  if (const auto it = plan_series_.find(fp); it != plan_series_.end()) {
+    return *it->second;
+  }
+  if (plan_series_.size() >= kMaxPlanSeries) {
+    return registry_.histogram("mt_plan_exec_ns{plan=\"overflow\"}");
+  }
+  auto& h = registry_.histogram("mt_plan_exec_ns{plan=\"" + hex64(fp) + "\"}");
+  plan_series_.emplace(fp, &h);
+  return h;
 }
 
 PlanCache::PlanPtr Server::resolve_plan(const Request& r, ServeStats& s,

@@ -208,6 +208,11 @@ struct ServerOptions {
 
 class Server {
  public:
+  // Plan-key fingerprints that get their own mt_plan_exec_ns{plan="<hex>"}
+  // series; every later plan records into mt_plan_exec_ns{plan="overflow"},
+  // so operand churn cannot grow the registry without bound.
+  static constexpr std::size_t kMaxPlanSeries = 1024;
+
   explicit Server(ServerOptions opts = {});
   ~Server();  // stop()s if still running
 
@@ -453,6 +458,8 @@ class Server {
   // Counts one representation lookup into `s` and re-purges operand `id`
   // if it was evicted while its lookup missed.
   void count_rep(std::uint64_t id, bool hit, ServeStats& s);
+  // The latency accumulator of the plan keyed `key` (kMaxPlanSeries).
+  obs::Histogram& plan_latency(const PlanKey& key) MT_EXCLUDES(plan_series_mu_);
 
   ServerOptions opts_;
 
@@ -483,6 +490,11 @@ class Server {
   // histogram. Benign create race: both racers get the same registry
   // object.
   obs::Histogram* queue_wait_hist_ = nullptr;
+  // Plan fingerprint -> its mt_plan_exec_ns series (at most
+  // kMaxPlanSeries entries; a re-derived plan rebinds its own series).
+  Mutex plan_series_mu_;
+  std::unordered_map<std::uint64_t, obs::Histogram*> plan_series_
+      MT_GUARDED_BY(plan_series_mu_);
   std::array<std::atomic<obs::Histogram*>,
              kAllKernels.size() * kAllFormats.size() * exec::kNumTierSlots>
       exec_hists_ = {};

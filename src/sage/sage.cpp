@@ -160,21 +160,23 @@ TensorFormatSpace TensorFormatSpace::full() {
   return s;
 }
 
-Format choose_output_mcf(const CooMatrix& a, const CooMatrix& b, DataType dt,
-                         std::int64_t* out_nnz_estimate) {
+namespace {
+
+// choose_output_mcf on the operands' shapes: all it reads.
+Format output_mcf(const OperandShape& a, const OperandShape& b, DataType dt,
+                  std::int64_t* out_nnz_estimate) {
   // Under uniform sparsity, O(i,j) is nonzero unless all K pairings miss:
   // d_o = 1 - (1 - dA*dB)^K.
-  const double da = static_cast<double>(a.nnz()) /
-                    (static_cast<double>(a.rows()) * static_cast<double>(a.cols()));
-  const double db = static_cast<double>(b.nnz()) /
-                    (static_cast<double>(b.rows()) * static_cast<double>(b.cols()));
+  const double da = static_cast<double>(a.nnz) /
+                    (static_cast<double>(a.rows) * static_cast<double>(a.cols));
+  const double db = static_cast<double>(b.nnz) /
+                    (static_cast<double>(b.rows) * static_cast<double>(b.cols));
   const double d_pair = std::clamp(da * db, 0.0, 1.0);
   const double d_o =
       d_pair >= 1.0
           ? 1.0
-          : -std::expm1(static_cast<double>(a.cols()) * std::log1p(-d_pair));
-  const auto cells =
-      static_cast<double>(a.rows()) * static_cast<double>(b.cols());
+          : -std::expm1(static_cast<double>(a.cols) * std::log1p(-d_pair));
+  const auto cells = static_cast<double>(a.rows) * static_cast<double>(b.cols);
   const auto nnz_o = static_cast<std::int64_t>(std::ceil(d_o * cells));
   if (out_nnz_estimate != nullptr) *out_nnz_estimate = nnz_o;
 
@@ -182,13 +184,25 @@ Format choose_output_mcf(const CooMatrix& a, const CooMatrix& b, DataType dt,
   std::int64_t best_bits = std::numeric_limits<std::int64_t>::max();
   for (Format f : kMatrixMcfChoices) {
     const auto bits =
-        expected_matrix_storage(f, a.rows(), b.cols(), nnz_o, dt).total_bits();
+        expected_matrix_storage(f, a.rows, b.cols, nnz_o, dt).total_bits();
     if (bits < best_bits) {
       best_bits = bits;
       best = f;
     }
   }
   return best;
+}
+
+template <class M>
+OperandShape shape_of(const M& m) {
+  return {m.rows(), m.cols(), m.nnz()};
+}
+
+}  // namespace
+
+Format choose_output_mcf(const CooMatrix& a, const CooMatrix& b, DataType dt,
+                         std::int64_t* out_nnz_estimate) {
+  return output_mcf(shape_of(a), shape_of(b), dt, out_nnz_estimate);
 }
 
 CostBreakdown price_matmul_combination(const CooMatrix& a, const CooMatrix& b,
@@ -227,7 +241,7 @@ CostBreakdown price_matmul_combination(const CooMatrix& a, const CooMatrix& b,
   return c;
 }
 
-SageChoice sage_select_matmul(const CooMatrix& a, const CooMatrix& b,
+SageChoice sage_select_matmul(const CsrMatrix& a, const CsrMatrix& b,
                               const AccelConfig& cfg,
                               const EnergyParams& energy,
                               const FormatSpace& space) {
@@ -235,19 +249,28 @@ SageChoice sage_select_matmul(const CooMatrix& a, const CooMatrix& b,
                  !space.acf_a.empty() && !space.acf_b.empty(),
              "format space must be non-empty");
   std::int64_t nnz_o = 0;
-  const Format mcf_o = choose_output_mcf(a, b, cfg.dtype, &nnz_o);
+  const Format mcf_o =
+      output_mcf(shape_of(a), shape_of(b), cfg.dtype, &nnz_o);
   const auto bits_o =
       expected_matrix_storage(mcf_o, a.rows(), b.cols(), nnz_o, cfg.dtype)
           .total_bits();
   MatmulOperands ops(a, b);
   return search_matmul(
-      {a.rows(), a.cols(), a.nnz()}, {b.rows(), b.cols(), b.nnz()}, mcf_o,
-      bits_o, cfg, energy, space, [&](Format acf_a, Format acf_b) {
+      shape_of(a), shape_of(b), mcf_o, bits_o, cfg, energy, space,
+      [&](Format acf_a, Format acf_b) {
         return model_matmul(ops, acf_a, acf_b, cfg, energy);
       });
 }
 
-SageChoice sage_select_spmm_dense_b(const CooMatrix& a, index_t n,
+SageChoice sage_select_matmul(const CooMatrix& a, const CooMatrix& b,
+                              const AccelConfig& cfg,
+                              const EnergyParams& energy,
+                              const FormatSpace& space) {
+  return sage_select_matmul(CsrMatrix::from_coo(a), CsrMatrix::from_coo(b),
+                            cfg, energy, space);
+}
+
+SageChoice sage_select_spmm_dense_b(const CsrMatrix& a, index_t n,
                                     const AccelConfig& cfg,
                                     const EnergyParams& energy,
                                     const FormatSpace& space) {
@@ -261,11 +284,18 @@ SageChoice sage_select_spmm_dense_b(const CooMatrix& a, index_t n,
   const std::int64_t bits_o = a.rows() * n * bits_of(cfg.dtype);
   PassStreams streams(a);
   return search_matmul(
-      {a.rows(), k, a.nnz()}, {k, n, k * n /* fully dense factor */},
-      Format::kDense, bits_o, cfg, energy, space,
-      [&](Format acf_a, Format acf_b) {
+      shape_of(a), {k, n, k * n /* fully dense factor */}, Format::kDense,
+      bits_o, cfg, energy, space, [&](Format acf_a, Format acf_b) {
         return model_matmul_dense_b(streams, n, acf_a, acf_b, cfg, energy);
       });
+}
+
+SageChoice sage_select_spmm_dense_b(const CooMatrix& a, index_t n,
+                                    const AccelConfig& cfg,
+                                    const EnergyParams& energy,
+                                    const FormatSpace& space) {
+  return sage_select_spmm_dense_b(CsrMatrix::from_coo(a), n, cfg, energy,
+                                  space);
 }
 
 SageTensorChoice sage_select_tensor(const CooTensor3& x, index_t rank,

@@ -60,7 +60,14 @@ struct SageChoice {
 };
 
 // Selects formats for O = A * B (covers GEMM/SpMM/SpGEMM — the operands'
-// nnz decides which regime the workload is in).
+// nnz decides which regime the workload is in). The search reads the
+// operands' CSR, the representation the host runs, so a serving plan
+// prices the rep it executes; the COO overloads build that CSR once and
+// return bit-identical choices.
+SageChoice sage_select_matmul(const CsrMatrix& a, const CsrMatrix& b,
+                              const AccelConfig& cfg,
+                              const EnergyParams& energy,
+                              const FormatSpace& space = FormatSpace::full());
 SageChoice sage_select_matmul(const CooMatrix& a, const CooMatrix& b,
                               const AccelConfig& cfg,
                               const EnergyParams& energy,
@@ -70,6 +77,10 @@ SageChoice sage_select_matmul(const CooMatrix& a, const CooMatrix& b,
 // right-hand scenario). Searches A's formats; B's candidates come from
 // `space` but are priced against a dense operand via the closed-form
 // performance model, so no giant dense COO is ever materialized.
+SageChoice sage_select_spmm_dense_b(const CsrMatrix& a, index_t n,
+                                    const AccelConfig& cfg,
+                                    const EnergyParams& energy,
+                                    const FormatSpace& space = FormatSpace::full());
 SageChoice sage_select_spmm_dense_b(const CooMatrix& a, index_t n,
                                     const AccelConfig& cfg,
                                     const EnergyParams& energy,

@@ -2,8 +2,11 @@
 // including the paper's Fig. 3 worked examples.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "convert/convert.hpp"
 #include "formats/bsr.hpp"
 #include "formats/coo.hpp"
 #include "formats/csc.hpp"
@@ -272,6 +275,47 @@ TEST_P(MatrixRoundTrip, CsrCooCsrStable) {
   EXPECT_EQ(csr.row_ptr(), again.row_ptr());
   EXPECT_EQ(csr.col_ids(), again.col_ids());
   EXPECT_EQ(csr.values(), again.values());
+}
+
+TEST_P(MatrixRoundTrip, CsrFromCooSameBitsOnEveryInputPath) {
+  // from_coo reads sorted input in place, sorts a copy of unsorted input,
+  // and takes over an rvalue's column ids; the COO hub hands its
+  // temporary to the rvalue overload. None of that may move a bit.
+  const auto [rows, cols, density] = GetParam();
+  const auto d = random_dense(rows, cols, density, 919);
+  std::vector<index_t> row_ptr{0}, col_ids;
+  std::vector<value_t> values;
+  for (index_t r = 0; r < rows; ++r) {
+    for (index_t c = 0; c < cols; ++c) {
+      if (d.at(r, c) == 0.0f) continue;
+      col_ids.push_back(c);
+      values.push_back(d.at(r, c));
+    }
+    row_ptr.push_back(static_cast<index_t>(col_ids.size()));
+  }
+  const auto want = CsrMatrix::from_parts(rows, cols, row_ptr, col_ids, values);
+  const auto expect_same = [&](const CsrMatrix& got) {
+    EXPECT_EQ(got.rows(), rows);
+    EXPECT_EQ(got.cols(), cols);
+    EXPECT_EQ(got.row_ptr(), want.row_ptr());
+    EXPECT_EQ(got.col_ids(), want.col_ids());
+    EXPECT_EQ(got.values(), want.values());
+  };
+
+  const auto sorted = CooMatrix::from_dense(d);
+  ASSERT_TRUE(sorted.is_row_major_sorted());
+  auto col_major = sorted;
+  col_major.sort_col_major();
+  expect_same(CsrMatrix::from_coo(sorted));
+  expect_same(CsrMatrix::from_coo(col_major));
+  expect_same(CsrMatrix::from_coo(CooMatrix(sorted)));
+  expect_same(CsrMatrix::from_coo(CooMatrix(col_major)));
+  expect_same(CsrMatrix::from_dense(d));
+  for (Format f : {Format::kCOO, Format::kCSC, Format::kRLC, Format::kZVC,
+                   Format::kBSR, Format::kDIA, Format::kELL}) {
+    SCOPED_TRACE(std::string(name_of(f)));
+    expect_same(std::get<CsrMatrix>(convert(encode(d, f), Format::kCSR)));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -374,6 +374,42 @@ TEST(ServerObs, DisabledMetricsStillServeCountersAndText) {
   EXPECT_EQ(text.find("mt_exec_ns{"), std::string::npos);
 }
 
+TEST(ServerObs, PlanLatencySeriesAreBoundedUnderChurn) {
+  // Every distinct operand is a distinct plan. Past kMaxPlanSeries
+  // fingerprints, plans share one overflow series instead of growing the
+  // registry by one histogram each.
+  auto o = obs_opts();
+  o.num_workers = 1;
+  o.obs.trace_ring_capacity = 0;
+  Server srv(o);
+  const std::size_t n_plans = Server::kMaxPlanSeries + 76;
+  const std::vector<value_t> x(8, 1.0f);
+  for (std::size_t i = 0; i < n_plans; ++i) {
+    const auto h = srv.register_matrix(
+        encode(random_dense(8, 8, 0.5, 1000 + i), Format::kCSR));
+    (void)srv.submit(spmv_request(h, x)).get();
+  }
+  EXPECT_EQ(srv.plan_cache().misses(), static_cast<std::int64_t>(n_plans));
+
+  std::size_t series = 0;
+  std::int64_t labeled_count = 0;
+  std::int64_t overflow_count = -1;
+  for (const auto& m : srv.metrics_snapshot()) {
+    if (m.name.rfind("mt_plan_exec_ns{", 0) != 0) continue;
+    ++series;
+    if (m.name == "mt_plan_exec_ns{plan=\"overflow\"}") {
+      overflow_count = m.hist.count;
+    } else {
+      labeled_count += m.hist.count;
+      EXPECT_EQ(m.hist.count, 1) << m.name;
+    }
+  }
+  EXPECT_EQ(series, Server::kMaxPlanSeries + 1);
+  EXPECT_EQ(labeled_count, static_cast<std::int64_t>(Server::kMaxPlanSeries));
+  EXPECT_EQ(overflow_count,
+            static_cast<std::int64_t>(n_plans - Server::kMaxPlanSeries));
+}
+
 TEST(ServerObs, TraceCoversStagesUnderOneId) {
   Server srv(obs_opts());
   const auto h =

@@ -17,6 +17,7 @@
 #include "common/threads.hpp"
 #include "runtime/batcher.hpp"
 #include "runtime/mpmc_queue.hpp"
+#include "runtime/router.hpp"
 #include "runtime/server.hpp"
 #include "sage/plan_key.hpp"
 #include "serving_testing.hpp"
@@ -98,9 +99,9 @@ TEST(ConversionCache, HitMissAccountingAndIdentitySharing) {
   const auto h = srv.register_matrix(encode(a_dense, Format::kZVC));
   const std::vector<value_t> x(40, 0.5f);
 
-  // First request: the plan itself needs a COO rep (miss) and the kernel
+  // First request: the plan itself needs a CSR rep (miss) and the kernel
   // an ACF rep (miss unless the ACF happens to be ZVC, which SAGE's ACF
-  // space excludes, or COO, which would re-hit the plan's rep).
+  // space excludes, or CSR, which re-hits the plan's rep).
   const auto r1 = srv.submit(spmv_request(h, x)).get();
   EXPECT_GE(r1.stats.conversion_misses, 1);
   const auto after_first = srv.conversion_cache().misses();
@@ -118,11 +119,65 @@ TEST(ConversionCache, HitMissAccountingAndIdentitySharing) {
       convert(encode(a_dense, Format::kZVC), plan->run_a));
   const auto size_before = srv.conversion_cache().size();
   const auto r3 = srv.submit(spmv_request(h2, x)).get();
-  // New operand, new plan: at most the COO rep for SAGE is materialized
-  // (none when the ACF is COO itself); the executed ACF rep is an identity
+  // New operand, new plan: at most the CSR rep for SAGE is materialized
+  // (none when the ACF is CSR itself); the executed ACF rep is an identity
   // share, not a conversion.
   EXPECT_LE(srv.conversion_cache().size(), size_before + 1);
   EXPECT_GE(r3.stats.conversion_hits, 1);
+}
+
+// The plan reads the CSR rep the host runs, so the first host SpMV on an
+// operand registered in another MCF decodes it exactly once, into CSR and
+// never COO, and later SpMM and SpGEMM plans on it reuse that rep.
+// `reps` counts the materialized representations across the fleet.
+template <class Srv, class Reps>
+void expect_first_touch_decodes_once(Srv& srv, Reps reps) {
+  const auto a_dense = random_dense(64, 64, 0.03, 41);
+  const std::vector<value_t> x(64, 0.5f);
+  Request spmm;
+  spmm.kernel = Kernel::kSpMM;
+  spmm.dense_b = DenseMatrix(64, 8, 0.25f);
+  Request spgemm;
+  spgemm.kernel = Kernel::kSpGEMM;
+  for (Format mcf : {Format::kZVC, Format::kRLC, Format::kBSR, Format::kELL,
+                     Format::kCSC}) {
+    SCOPED_TRACE(std::string(name_of(mcf)));
+    const auto before = reps();
+    const auto h = srv.register_matrix(encode(a_dense, mcf));
+    const auto r1 = srv.submit(spmv_request(h, x)).get();
+    EXPECT_EQ(r1.stats.conversion_misses, 1);
+    EXPECT_EQ(reps(), before + 1);  // the CSR rep; no COO rep beside it
+    // Sparse operands run in CSR here, so the one decode is also the rep
+    // every kernel below executes.
+    ASSERT_EQ(srv.plan_for(spmv_request(h, x))->run_a, Format::kCSR);
+
+    spmm.a = h;
+    ASSERT_EQ(srv.plan_for(spmm)->run_a, Format::kCSR);
+    EXPECT_EQ(srv.submit(spmm).get().stats.conversion_misses, 0);
+    spgemm.a = spgemm.b = h;
+    EXPECT_EQ(srv.submit(spgemm).get().stats.conversion_misses, 0);
+    EXPECT_EQ(reps(), before + 1);
+  }
+}
+
+TEST(ConversionCache, FirstTouchDecodesOnce) {
+  Server srv(small_opts());
+  expect_first_touch_decodes_once(
+      srv, [&] { return srv.conversion_cache().size(); });
+}
+
+TEST(ConversionCache, FirstTouchDecodesOnceOnShards) {
+  ShardedServerOptions o;
+  o.num_shards = 2;
+  o.shard = small_opts();
+  ShardedServer srv(o);
+  expect_first_touch_decodes_once(srv, [&] {
+    std::size_t n = 0;
+    for (int i = 0; i < srv.num_shards(); ++i) {
+      n += srv.shard(i).conversion_cache().size();
+    }
+    return n;
+  });
 }
 
 // Served results must be bit-identical to a direct exec-engine call on the

@@ -4,12 +4,18 @@
 // Fig. 12/13.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/baselines.hpp"
+#include "convert/convert.hpp"
 #include "sage/sage.hpp"
 #include "workloads/registry.hpp"
+#include "workloads/structured.hpp"
 #include "workloads/synth.hpp"
 
 namespace mt {
@@ -273,7 +279,9 @@ TEST(SageGolden, MatmulPerfOnEveryAcfPair) {
     ASSERT_FALSE(b_col_major.is_row_major_sorted());
     // One view priced on every pair, as a search does: A's pass sweeps
     // are shared across the pairs of each K-pass height.
-    MatmulOperands shared(c.mm.a, c.mm.b);
+    const auto a_csr = CsrMatrix::from_coo(c.mm.a);
+    const auto b_csr = CsrMatrix::from_coo(c.mm.b);
+    MatmulOperands shared(a_csr, b_csr);
     std::size_t i = 0;
     for (Format fa : kStreamAcfs) {
       for (Format fb : kStationaryAcfs) {
@@ -282,6 +290,7 @@ TEST(SageGolden, MatmulPerfOnEveryAcfPair) {
         expect_golden(model_matmul(c.mm.a, b_col_major, fa, fb, c.cfg, e),
                       c.want[i]);
         expect_golden(model_matmul(shared, fa, fb, c.cfg, e), c.want[i]);
+        expect_golden(model_matmul(a_csr, b_csr, fa, fb, c.cfg, e), c.want[i]);
         ++i;
       }
     }
@@ -302,13 +311,15 @@ TEST(SageGolden, DenseBPerfOnEveryAcfPair) {
       {90, 600, 2400, 2400, 209, 2000, 2000, 600, 3, 5, 0.20000000000000001, 0.023156724712856614, 1.025e-07},
       {180, 600, 2400, 2400, 302, 2000, 2000, 600, 3, 10, 0.20000000000000001, 0.021686328938237336, 1.2631999999999998e-07},
   };
-  PassStreams shared(a);
+  const auto a_csr = CsrMatrix::from_coo(a);
+  PassStreams shared(a_csr);
   std::size_t i = 0;
   for (Format fa : kStreamAcfs) {
     for (Format fb : kStationaryAcfs) {
       SCOPED_TRACE(std::string(name_of(fa)) + "/" + std::string(name_of(fb)));
       expect_golden(model_matmul_dense_b(a, 10, fa, fb, cfg, e), want[i]);
       expect_golden(model_matmul_dense_b(shared, 10, fa, fb, cfg, e), want[i]);
+      expect_golden(model_matmul_dense_b(a_csr, 10, fa, fb, cfg, e), want[i]);
       ++i;
     }
   }
@@ -357,6 +368,156 @@ TEST(SageGolden, ChoicesInEveryBaselineSpace) {
     expect_golden(sage_select_spmm_dense_b(mm.a, 600, cfg, e, space),
                   dense_b[i]);
     ++i;
+  }
+}
+
+// --- CSR cores against the COO adapters ---
+//
+// The server plans on the CSR rep it runs; figure benches, baselines and
+// the replay harness call the COO overloads. Both must see the same
+// model: identical PerfResults and SageChoices, down to the double bits.
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+void expect_identical(const PerfResult& x, const PerfResult& y) {
+  EXPECT_EQ(x.phases.load_cycles, y.phases.load_cycles);
+  EXPECT_EQ(x.phases.stream_cycles, y.phases.stream_cycles);
+  EXPECT_EQ(x.phases.compute_cycles, y.phases.compute_cycles);
+  EXPECT_EQ(x.phases.overlap_cycles, y.phases.overlap_cycles);
+  EXPECT_EQ(x.phases.drain_cycles, y.phases.drain_cycles);
+  EXPECT_EQ(x.performed_macs, y.performed_macs);
+  EXPECT_EQ(x.useful_macs, y.useful_macs);
+  EXPECT_EQ(x.streamed_elems, y.streamed_elems);
+  EXPECT_EQ(x.n_tiles, y.n_tiles);
+  EXPECT_EQ(x.k_passes, y.k_passes);
+  EXPECT_TRUE(same_bits(x.bus_occupancy, y.bus_occupancy));
+  EXPECT_TRUE(same_bits(x.pe_utilization, y.pe_utilization));
+  EXPECT_TRUE(same_bits(x.compute_energy_j, y.compute_energy_j));
+}
+
+void expect_identical(const SageChoice& x, const SageChoice& y) {
+  EXPECT_EQ(x.mcf_a, y.mcf_a);
+  EXPECT_EQ(x.mcf_b, y.mcf_b);
+  EXPECT_EQ(x.acf_a, y.acf_a);
+  EXPECT_EQ(x.acf_b, y.acf_b);
+  EXPECT_EQ(x.mcf_o, y.mcf_o);
+  EXPECT_EQ(x.cost.dram_cycles, y.cost.dram_cycles);
+  EXPECT_EQ(x.cost.convert_cycles, y.cost.convert_cycles);
+  EXPECT_EQ(x.cost.compute_cycles, y.cost.compute_cycles);
+  EXPECT_TRUE(same_bits(x.cost.dram_energy_j, y.cost.dram_energy_j));
+  EXPECT_TRUE(same_bits(x.cost.convert_energy_j, y.cost.convert_energy_j));
+  EXPECT_TRUE(same_bits(x.cost.compute_energy_j, y.cost.compute_energy_j));
+  EXPECT_TRUE(same_bits(x.edp, y.edp));
+  expect_identical(x.perf, y.perf);
+}
+
+// The src/workloads shapes: a uniform density sweep, banded, block-sparse
+// and row-balanced, all square so each also multiplies itself.
+std::vector<std::pair<std::string, DenseMatrix>> workload_operands() {
+  constexpr index_t kN = 96;
+  std::vector<std::pair<std::string, DenseMatrix>> ops;
+  std::uint64_t seed = 500;
+  for (double d : {0.005, 0.02, 0.08, 0.3}) {
+    ops.emplace_back("uniform " + std::to_string(d),
+                     synth_dense_matrix(kN, kN, d, ++seed));
+  }
+  ops.emplace_back("banded", synth_banded_matrix(kN, 5, ++seed));
+  ops.emplace_back("block-sparse",
+                   synth_block_sparse_matrix(kN, kN, 8, 8, 0.2, ++seed));
+  ops.emplace_back("row-balanced", synth_row_balanced_matrix(kN, kN, 6, ++seed));
+  return ops;
+}
+
+TEST(SageCsr, CoresMatchCooAdaptersOnEveryMcf) {
+  // A small array makes the 96^2 operands span several tiles and K passes;
+  // the paper's array prices them in one.
+  AccelConfig small;
+  small.num_pes = 16;
+  small.pe_buffer_bytes = 64;
+  const EnergyParams e;
+  const Format mcfs[] = {Format::kDense, Format::kCOO, Format::kCSR,
+                         Format::kCSC,   Format::kRLC, Format::kZVC,
+                         Format::kBSR,   Format::kDIA, Format::kELL};
+  const auto ops = workload_operands();
+  const auto& uniform = ops[2].second;
+  for (const auto& cfg : {AccelConfig::paper_default(), small}) {
+    for (const auto& [name, dense] : ops) {
+      for (Format mcf : mcfs) {
+        SCOPED_TRACE(name + " registered as " + std::string(name_of(mcf)) +
+                     " on " + std::to_string(cfg.num_pes) + " PEs");
+        // The rep the server plans on, and the COO overloads' input.
+        const AnyMatrix reg = encode(dense, mcf);
+        const auto csr = std::get<CsrMatrix>(convert(reg, Format::kCSR));
+        const auto coo = std::get<CooMatrix>(convert(reg, Format::kCOO));
+        for (index_t n : {1, 8, 16}) {
+          SCOPED_TRACE("dense B width " + std::to_string(n));
+          expect_identical(sage_select_spmm_dense_b(csr, n, cfg, e),
+                           sage_select_spmm_dense_b(coo, n, cfg, e));
+        }
+        expect_identical(sage_select_matmul(csr, csr, cfg, e),
+                         sage_select_matmul(coo, coo, cfg, e));
+        const auto u_csr = CsrMatrix::from_dense(uniform);
+        const auto u_coo = CooMatrix::from_dense(uniform);
+        expect_identical(sage_select_matmul(csr, u_csr, cfg, e),
+                         sage_select_matmul(coo, u_coo, cfg, e));
+      }
+    }
+  }
+}
+
+TEST(SageCsr, SharedViewMemoMatchesFreshPricingInAnyOrder) {
+  // Pricing the six ACF pairs on one MatmulOperands memoizes A's pass
+  // sweeps and B's CSC loads; the order of the pairs must not matter.
+  struct Case {
+    std::string name;
+    AccelConfig cfg;
+    MM mm;
+  };
+  // At density_b = 0.5 on the paper's array, the CSC pass height
+  // (64 pairs / 0.5) equals the Dense one (min(K, 128)): a memo keyed on
+  // the height alone would hand one ACF's loads to the other.
+  const Case cases[] = {
+      {"collision", AccelConfig::paper_default(),
+       {synth_coo_matrix(64, 256, 3000, 71),
+        synth_coo_matrix(256, 64, 256 * 64 / 2, 72)}},
+      {"walkthrough", AccelConfig::walkthrough(), walkthrough_pair()},
+      {"multi-tile", test_cfg(), test_cfg_pair()},
+  };
+  std::vector<std::pair<Format, Format>> forward;
+  for (Format fa : kStreamAcfs) {
+    for (Format fb : kStationaryAcfs) forward.emplace_back(fa, fb);
+  }
+  const std::vector<std::pair<Format, Format>> reverse(forward.rbegin(),
+                                                       forward.rend());
+  const std::vector<std::pair<Format, Format>> shuffled = {
+      forward[3], forward[0], forward[5], forward[2], forward[4], forward[1]};
+  const EnergyParams e;
+  for (const auto& c : cases) {
+    const auto a = CsrMatrix::from_coo(c.mm.a);
+    const auto b = CsrMatrix::from_coo(c.mm.b);
+    for (const auto& order : {forward, reverse, shuffled}) {
+      MatmulOperands shared(a, b);
+      for (const auto& [fa, fb] : order) {
+        SCOPED_TRACE(c.name + " " + std::string(name_of(fa)) + "/" +
+                     std::string(name_of(fb)));
+        expect_identical(model_matmul(shared, fa, fb, c.cfg, e),
+                         model_matmul(a, b, fa, fb, c.cfg, e));
+      }
+    }
+    // One view priced under a second PE count: B's tiles change, so its
+    // CSC loads must be swept again.
+    MatmulOperands shared(a, b);
+    AccelConfig narrow = c.cfg;
+    narrow.num_pes = std::max<index_t>(1, c.cfg.num_pes / 3);
+    for (const AccelConfig& cfg : {c.cfg, narrow, c.cfg}) {
+      for (const auto& [fa, fb] : forward) {
+        SCOPED_TRACE(c.name + " on " + std::to_string(cfg.num_pes) + " PEs");
+        expect_identical(model_matmul(shared, fa, fb, cfg, e),
+                         model_matmul(a, b, fa, fb, cfg, e));
+      }
+    }
   }
 }
 
